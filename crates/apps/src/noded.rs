@@ -174,11 +174,6 @@ pub struct NodeOptions {
     /// on-reconnect certificate re-validation — that the identity they
     /// pooled against is gone.
     pub cert_serial: Option<u64>,
-    /// Overrides the peer dialers' pipeline depth. `Some(1)` pins every
-    /// outgoing connection to sequential v1 framing — the knob the
-    /// cluster tests use to prove recovery digests are identical under
-    /// v1 and v2 framing. `None` keeps the transport default.
-    pub pipeline_depth: Option<usize>,
     /// Shard workers. `1` (the default) is the classic single-threaded
     /// daemon; `N > 1` runs the shard-per-core runtime
     /// ([`aire_core::ShardedRuntime`]): N worker threads, each owning
@@ -212,7 +207,7 @@ usage:
   aire-noded --service <spec> [--service <spec>]...
              [--data ADDR] [--admin ADDR]
              [--peer NAME=DATA_ADDR/ADMIN_ADDR]... [--max-runtime-secs N]
-             [--cert-serial N] [--pipeline-depth N] [--workers N]
+             [--cert-serial N] [--workers N]
              [--repair-scope reactive|full|selective] [--trace]
              [--store-budget-bytes N]
   aire-noded --metrics ADDR --service <spec> [--service <spec>]...
@@ -232,9 +227,6 @@ options:
                           frame (orphan guard)      [default 600]
   --cert-serial N         base certificate serial to present (restart a
                           daemon with a new value to rotate identity)
-  --pipeline-depth N      cap requests in flight per outgoing connection
-                          (1 pins sequential v1 framing; default is the
-                          transport's pipelined v2 framing)
   --workers N             shard workers [default 1]. N > 1 runs the
                           shard-per-core runtime: N threads, each owning
                           a key-range slice of every hosted service's
@@ -288,7 +280,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Node
     let mut peers = Vec::new();
     let mut max_runtime = Duration::from_secs(600);
     let mut cert_serial = None;
-    let mut pipeline_depth = None;
     let mut workers = 1usize;
     let mut repair_scope = RepairScope::default();
     let mut tracing = false;
@@ -340,16 +331,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Node
                         .map_err(|_| format!("--cert-serial: {v:?} is not a number"))?,
                 );
             }
-            "--pipeline-depth" => {
-                let v = value("--pipeline-depth")?;
-                let depth: usize = v
-                    .parse()
-                    .map_err(|_| format!("--pipeline-depth: {v:?} is not a number"))?;
-                if depth == 0 {
-                    return Err("--pipeline-depth: must be at least 1".to_string());
-                }
-                pipeline_depth = Some(depth);
-            }
             "--workers" => {
                 let v = value("--workers")?;
                 workers = v
@@ -393,7 +374,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Node
         peers,
         max_runtime,
         cert_serial,
-        pipeline_depth,
         workers,
         repair_scope,
         tracing,
@@ -428,11 +408,7 @@ pub fn run(opts: NodeOptions) -> Result<ServeOutcome, String> {
     // entry: local always beats remote.)
     let mut transports = Vec::new();
     for peer in &opts.peers {
-        let mut t = TcpTransport::new(peer.name.clone(), peer.data, peer.admin);
-        if let Some(depth) = opts.pipeline_depth {
-            t = t.with_pipeline(depth);
-        }
-        let t = Rc::new(t);
+        let t = Rc::new(TcpTransport::new(peer.name.clone(), peer.data, peer.admin));
         net.register_remote(peer.name.clone(), t.clone());
         transports.push(t);
     }
@@ -540,7 +516,6 @@ fn run_sharded(
     });
 
     let peers = opts.peers.clone();
-    let pipeline_depth = opts.pipeline_depth;
     let certs = hosted.clone();
     let setup: aire_core::SetupHook = Arc::new(move |ws: WorkerSetup| {
         // Each worker dials its own peer connections, pumped by the
@@ -548,10 +523,7 @@ fn run_sharded(
         let pump: Rc<dyn Pump> = Rc::new(WorkerJobPump(ws.pump));
         let mut transports = Vec::new();
         for peer in &peers {
-            let mut t = TcpTransport::new(peer.name.clone(), peer.data, peer.admin);
-            if let Some(depth) = pipeline_depth {
-                t = t.with_pipeline(depth);
-            }
+            let t = TcpTransport::new(peer.name.clone(), peer.data, peer.admin);
             t.set_pump(Rc::downgrade(&pump));
             // Each worker's pool counters merge into its primary
             // service's registry; the admin fan-out sums them across
@@ -746,26 +718,67 @@ pub mod spawn {
         }
     }
 
+    /// The environment variable whose whitespace-split words every
+    /// [`spawn_node`] call passes to its daemon — the hook that lets a CI
+    /// matrix run the whole existing cluster suite sharded
+    /// (`--workers 4`), traced (`--trace`), under another repair scope,
+    /// or under a store budget without touching the tests. The words go
+    /// through the daemon's own parser, so a typo fails the spawn loudly
+    /// instead of silently testing the defaults.
+    pub const EXTRA_ARGS_ENV: &str = "AIRE_NODED_EXTRA_ARGS";
+
+    /// The daemon command line [`spawn_node`] builds. `extra`'s words
+    /// come first and the caller's explicit flags after them: the last
+    /// occurrence of a flag wins in [`super::parse_args`], so a test that
+    /// pins a worker count or scope keeps it whatever the matrix says.
+    #[allow(clippy::too_many_arguments)]
+    fn daemon_args(
+        extra: &str,
+        services: &[&str],
+        data: SocketAddr,
+        admin: SocketAddr,
+        peers: &[(String, SocketAddr, SocketAddr)],
+        max_runtime_secs: u64,
+        cert_serial: Option<u64>,
+        workers: Option<usize>,
+        repair_scope: Option<RepairScope>,
+        trace: bool,
+    ) -> Vec<String> {
+        let mut args: Vec<String> = extra.split_whitespace().map(str::to_string).collect();
+        let mut flag = |name: &str, value: String| args.extend([name.to_string(), value]);
+        for service in services {
+            flag("--service", service.to_string());
+        }
+        flag("--data", data.to_string());
+        flag("--admin", admin.to_string());
+        flag("--max-runtime-secs", max_runtime_secs.to_string());
+        if let Some(serial) = cert_serial {
+            flag("--cert-serial", serial.to_string());
+        }
+        if let Some(w) = workers {
+            flag("--workers", w.to_string());
+        }
+        if let Some(scope) = repair_scope {
+            flag("--repair-scope", scope.name().to_string());
+        }
+        for (peer, pdata, padmin) in peers {
+            flag("--peer", format!("{peer}={pdata}/{padmin}"));
+        }
+        if trace {
+            args.push("--trace".to_string());
+        }
+        args
+    }
+
     /// Spawns one daemon process hosting every spec in `services`
     /// (bare names or `spreadsheet:<name>` forms) and blocks until its
     /// ready line confirms both listeners are bound. `peers` are
     /// `(name, data, admin)` triples for the rest of the cluster;
     /// `cert_serial` (if any) is forwarded as `--cert-serial` so a
-    /// restarted daemon presents a rotated identity; `pipeline_depth`
-    /// (if any) is forwarded as `--pipeline-depth` (1 pins the daemon's
-    /// outgoing connections to sequential v1 framing); `workers` (if
-    /// any) is forwarded as `--workers`; `repair_scope` (if any) is
-    /// forwarded as `--repair-scope`. When `workers` is `None`, the
-    /// `AIRE_NODED_WORKERS` environment variable supplies the worker
-    /// count instead — the hook that lets a CI matrix run the whole
-    /// existing cluster suite sharded without touching the tests.
-    /// `AIRE_NODED_REPAIR_SCOPE` likewise backs `repair_scope`, and
-    /// `AIRE_NODED_TRACE=1` backs `trace` (forwarded as `--trace`) — so
-    /// the matrix can also run the whole suite with causal tracing on,
-    /// proving recovery digests don't change.
-    /// `AIRE_NODED_STORE_BUDGET` (a byte count, forwarded as
-    /// `--store-budget-bytes`) runs the suite under a resident-store
-    /// budget, proving compaction pressure doesn't change digests either.
+    /// restarted daemon presents a rotated identity; `workers` and
+    /// `repair_scope` (if any) are forwarded as `--workers` and
+    /// `--repair-scope`; `trace` adds `--trace`. The words of
+    /// [`EXTRA_ARGS_ENV`] precede all of them.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn_node(
         exe: &Path,
@@ -775,63 +788,25 @@ pub mod spawn {
         peers: &[(String, SocketAddr, SocketAddr)],
         max_runtime_secs: u64,
         cert_serial: Option<u64>,
-        pipeline_depth: Option<usize>,
         workers: Option<usize>,
         repair_scope: Option<RepairScope>,
-        trace: Option<bool>,
+        trace: bool,
     ) -> Result<SpawnedNode, String> {
         assert!(!services.is_empty(), "a node hosts at least one service");
-        let workers = workers.or_else(|| {
-            std::env::var("AIRE_NODED_WORKERS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        });
-        let repair_scope = repair_scope.or_else(|| {
-            std::env::var("AIRE_NODED_REPAIR_SCOPE")
-                .ok()
-                .and_then(|v| RepairScope::parse(&v))
-        });
-        let trace = trace.or_else(|| {
-            std::env::var("AIRE_NODED_TRACE")
-                .ok()
-                .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-        });
-        let store_budget = std::env::var("AIRE_NODED_STORE_BUDGET")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&b| b > 0);
-        let mut cmd = Command::new(exe);
-        for service in services {
-            cmd.arg("--service").arg(service);
-        }
-        cmd.arg("--data")
-            .arg(data.to_string())
-            .arg("--admin")
-            .arg(admin.to_string())
-            .arg("--max-runtime-secs")
-            .arg(max_runtime_secs.to_string());
-        if let Some(serial) = cert_serial {
-            cmd.arg("--cert-serial").arg(serial.to_string());
-        }
-        if let Some(depth) = pipeline_depth {
-            cmd.arg("--pipeline-depth").arg(depth.to_string());
-        }
-        if let Some(w) = workers {
-            cmd.arg("--workers").arg(w.to_string());
-        }
-        if let Some(scope) = repair_scope {
-            cmd.arg("--repair-scope").arg(scope.name());
-        }
-        if trace == Some(true) {
-            cmd.arg("--trace");
-        }
-        if let Some(bytes) = store_budget {
-            cmd.arg("--store-budget-bytes").arg(bytes.to_string());
-        }
-        for (peer, pdata, padmin) in peers {
-            cmd.arg("--peer").arg(format!("{peer}={pdata}/{padmin}"));
-        }
-        let mut child = cmd
+        let args = daemon_args(
+            &std::env::var(EXTRA_ARGS_ENV).unwrap_or_default(),
+            services,
+            data,
+            admin,
+            peers,
+            max_runtime_secs,
+            cert_serial,
+            workers,
+            repair_scope,
+            trace,
+        );
+        let mut child = Command::new(exe)
+            .args(args)
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
@@ -859,6 +834,50 @@ pub mod spawn {
             return Err(format!("{primary} did not come up: {line:?}"));
         }
         Ok(node)
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::noded::parse_args;
+
+        fn args_with(extra: &str, workers: Option<usize>) -> Vec<String> {
+            let (data, admin) = free_addrs();
+            daemon_args(
+                extra,
+                &["vkv"],
+                data,
+                admin,
+                &[],
+                5,
+                None,
+                workers,
+                None,
+                false,
+            )
+        }
+
+        #[test]
+        fn extra_args_come_first_so_explicit_flags_win() {
+            let extra = "--workers 4 --trace --repair-scope selective";
+            let opts = parse_args(args_with(extra, Some(1))).unwrap().unwrap();
+            assert_eq!(opts.workers, 1, "the caller's pinned count holds");
+            assert!(opts.tracing);
+            assert_eq!(opts.repair_scope, RepairScope::Selective);
+            let opts = parse_args(args_with(extra, None)).unwrap().unwrap();
+            assert_eq!(opts.workers, 4, "an unpinned spawn follows the matrix");
+            let opts = parse_args(args_with("", None)).unwrap().unwrap();
+            assert_eq!(opts.workers, 1);
+            assert!(!opts.tracing);
+        }
+
+        #[test]
+        fn a_bad_extra_value_fails_the_daemon_parser() {
+            let err = parse_args(args_with("--workers four", None)).unwrap_err();
+            assert!(err.contains("not a number"), "{err}");
+            let err = parse_args(args_with("--wrokers 4", None)).unwrap_err();
+            assert!(err.contains("unknown argument"), "{err}");
+        }
     }
 }
 
@@ -935,21 +954,6 @@ mod tests {
         assert_eq!(opts.peers[0].admin.port(), 7200);
         assert_eq!(opts.max_runtime, Duration::from_secs(42));
         assert_eq!(opts.cert_serial, Some(4242));
-        assert_eq!(opts.pipeline_depth, None);
-    }
-
-    #[test]
-    fn pipeline_depth_parses_and_rejects_zero() {
-        let opts = parse_args(["--service", "askbot", "--pipeline-depth", "1"].map(String::from))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.pipeline_depth, Some(1));
-        let err = parse_args(["--service", "askbot", "--pipeline-depth", "0"].map(String::from))
-            .unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        let err = parse_args(["--service", "askbot", "--pipeline-depth", "deep"].map(String::from))
-            .unwrap_err();
-        assert!(err.contains("not a number"), "{err}");
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! For each tracked file the tool reads the freshly regenerated copy at
 //! the repo root and the copy committed at the baseline ref (`HEAD~1`
 //! unless overridden — the previous PR's numbers), then compares the
-//! **ratio** metrics: batched-vs-sequential flush speedup, 4-vs-1
-//! worker scaling, selective-vs-full taint speedup. Ratios are gated
+//! **ratio** metrics: 4-vs-1 worker scaling, selective-vs-full taint
+//! speedup, store reclaim and delta reduction. Ratios are gated
 //! because they divide out the runner: a slower CI machine slows both
-//! sides of each ratio, while a genuine regression (batching stops
-//! paying, sharding stops scaling, the taint closure grows) moves the
-//! ratio itself. Absolute `repairs_per_sec` numbers are printed for
+//! sides of each ratio, while a genuine regression (sharding stops
+//! scaling, the taint closure grows) moves the ratio itself. Absolute `repairs_per_sec` numbers are printed for
 //! context but never gated.
 //!
 //! A metric regresses when it falls below `baseline * (1 - tolerance)`;
@@ -31,13 +30,6 @@ use aire_types::Jv;
 /// The files the gate watches, each with the dotted paths of its ratio
 /// metrics (higher is better for every one of them).
 const GATES: &[(&str, &[&str])] = &[
-    (
-        "BENCH_transport.json",
-        &[
-            "pipelined.speedup_vs_sequential",
-            "batched.speedup_vs_sequential",
-        ],
-    ),
     ("BENCH_shard.json", &["speedup_4_vs_1"]),
     ("BENCH_taint.json", &["speedup_selective_vs_full"]),
     ("BENCH_store.json", &["reclaim_ratio", "delta.reduction"]),
@@ -45,14 +37,6 @@ const GATES: &[(&str, &[&str])] = &[
 
 /// Context-only series printed beside each gated file.
 const CONTEXT: &[(&str, &[&str])] = &[
-    (
-        "BENCH_transport.json",
-        &[
-            "sequential.repairs_per_sec",
-            "pipelined.repairs_per_sec",
-            "batched.repairs_per_sec",
-        ],
-    ),
     (
         "BENCH_shard.json",
         &["workers_1.repairs_per_sec", "workers_4.repairs_per_sec"],

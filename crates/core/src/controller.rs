@@ -26,27 +26,10 @@ use crate::runtime::{build_record, RecordingRuntime, ResponseSeqs, Trace};
 use crate::stats::ControllerStats;
 use crate::taint::RepairScope;
 
-/// How a queue flush ([`AdminOp::FlushQueue`]) moves messages to their
-/// targets. All three strategies produce identical queue outcomes and
-/// identical remote state — they differ only in how many round trips and
-/// carrier frames the flush costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushStrategy {
-    /// One `deliver` round trip per message (the original behavior).
-    Sequential,
-    /// One carrier per message, but handed to the network in a single
-    /// [`aire_net::Network::deliver_many`] call so a pipelining transport
-    /// keeps many in flight per connection.
-    Pipelined,
-    /// Messages to the same target are packed into
-    /// [`crate::protocol::RepairBatch`] carriers (`batch` per frame), so a
-    /// thousand-entry queue drains in a handful of frames. Response
-    /// repairs still travel one-by-one through the notifier token flow.
-    Batched {
-        /// Messages per carrier frame.
-        batch: usize,
-    },
-}
+/// Messages packed into one [`RepairBatch`] carrier by a queue flush
+/// ([`AdminOp::FlushQueue`]), so a thousand-entry queue drains in a
+/// handful of frames.
+const FLUSH_BATCH: usize = 256;
 
 /// A resident-byte budget for the versioned store.
 ///
@@ -89,8 +72,6 @@ pub struct ControllerConfig {
     /// or new value. Inflates the repaired-request count; the
     /// `ablation_predicates` bench quantifies by how much.
     pub coarse_scan_taint: bool,
-    /// How `flush_queue` delivers (per-message send paths are unaffected).
-    pub flush: FlushStrategy,
     /// This controller's slot in a sharded daemon: `(index, count)`.
     /// Shard `index` of `count` allocates interleaved request seqs
     /// `index+1, index+1+count, index+1+2*count, ...` so request ids stay
@@ -120,7 +101,6 @@ impl Default for ControllerConfig {
             rng_seed: 0xA17E,
             clock_base_millis: 1_700_000_000_000,
             coarse_scan_taint: false,
-            flush: FlushStrategy::Batched { batch: 256 },
             shard: (0, 1),
             repair_scope: RepairScope::default(),
             tracing: false,
@@ -1390,7 +1370,7 @@ impl Controller {
     /// Folds the delivery result of one repair carrier into the queue:
     /// remote-request-id bookkeeping and removal on success, hold on
     /// `UNAUTHORIZED`, drop on permanent rejection, keep on transient
-    /// failure. One outcome path for every flush strategy — a message
+    /// failure. One outcome path for both send paths — a message
     /// delivered inside a [`RepairBatch`] frame lands in exactly the same
     /// states as one delivered on its own round trip.
     fn absorb_send_outcome(
@@ -1554,12 +1534,16 @@ impl Controller {
         self.core.borrow().outgoing.sendable()
     }
 
-    /// One delivery sweep over every sendable message, shaped by
-    /// [`FlushStrategy`]. Returns `(delivered, kept, dropped)`.
+    /// One delivery sweep over every sendable message: messages to the
+    /// same target travel packed into [`RepairBatch`] carriers
+    /// ([`FLUSH_BATCH`] per frame), all handed to the network in a single
+    /// [`aire_net::Network::deliver_many`] call so a pipelining transport
+    /// keeps them in flight together. Returns `(delivered, kept,
+    /// dropped)`.
     ///
-    /// All strategies feed each message's result through
+    /// Each message's result goes through
     /// [`Controller::absorb_send_outcome`], so queue state transitions are
-    /// byte-identical regardless of how the messages traveled.
+    /// byte-identical to sending it alone ([`AdminOp::SendQueued`]).
     fn do_flush_queue(&self) -> (usize, usize, usize) {
         // The flush span is the root of a repair trace tree (or a child,
         // when the flush itself was triggered by a traced admin carrier):
@@ -1584,13 +1568,6 @@ impl Controller {
             }
         }
 
-        if self.config.flush == FlushStrategy::Sequential {
-            for msg_id in self.sendable_messages() {
-                count(&mut tally, self.do_send_queued(msg_id));
-            }
-            return tally;
-        }
-
         // Snapshot the sendable messages up front: delivery callbacks
         // mutate the queue, so the sweep works over clones, exactly as
         // `do_send_queued` does for a single message.
@@ -1604,8 +1581,8 @@ impl Controller {
                 .collect()
         };
 
-        // Response repairs travel one-by-one regardless of strategy: the
-        // notifier token dance has no carrier form to pipeline or batch.
+        // Response repairs travel one-by-one: the notifier token dance
+        // has no carrier form to batch.
         let mut wired: Vec<QueuedRepair> = Vec::with_capacity(msgs.len());
         for msg in msgs {
             if let RepairOp::ReplaceResponse {
@@ -1620,96 +1597,64 @@ impl Controller {
             }
         }
 
-        match self.config.flush {
-            FlushStrategy::Sequential => unreachable!("handled above"),
-            FlushStrategy::Pipelined => {
-                // One carrier per message, delivered in a single batch so
-                // a pipelining transport keeps them in flight together.
-                let mut staged: Vec<(QueuedRepair, HttpRequest)> = Vec::with_capacity(wired.len());
-                for msg in wired {
-                    let carrier =
-                        RepairMessage::with_credentials(msg.op.clone(), msg.credentials.clone())
-                            .to_carrier(msg.target.as_str());
-                    match carrier {
-                        Ok(mut c) => {
-                            self.stamp_trace_from(&mut c, "send_repair", msg.trace);
-                            staged.push((msg, c));
-                        }
-                        Err(e) => count(&mut tally, self.permanent_failure(&msg, &e.to_string())),
+        // Group by target preserving queue order, then chunk. Chunks and
+        // their carriers are staged side by side: the carriers go to the
+        // network as one slice, the chunks say whose results come back.
+        let mut by_target: Vec<(ServiceName, Vec<QueuedRepair>)> = Vec::new();
+        for msg in wired {
+            match by_target.iter_mut().find(|(t, _)| *t == msg.target) {
+                Some((_, group)) => group.push(msg),
+                None => by_target.push((msg.target.clone(), vec![msg])),
+            }
+        }
+        let mut chunks: Vec<&[QueuedRepair]> = Vec::new();
+        let mut carriers: Vec<HttpRequest> = Vec::new();
+        for (target, group) in &by_target {
+            for chunk in group.chunks(FLUSH_BATCH) {
+                let wire_msgs = chunk
+                    .iter()
+                    .map(|m| RepairMessage::with_credentials(m.op.clone(), m.credentials.clone()))
+                    .collect();
+                match RepairBatch::new(wire_msgs).to_carrier(target.as_str()) {
+                    Ok(mut c) => {
+                        // A batch carrier has one wire slot for a
+                        // context; the oldest annotated member's tree
+                        // claims the batch.
+                        let cause = chunk.iter().find_map(|m| m.trace);
+                        self.stamp_trace_from(&mut c, "send_repair_batch", cause);
+                        self.obs.registry().repair_batches_sent_total.incr();
+                        chunks.push(chunk);
+                        carriers.push(c);
                     }
-                }
-                let carriers: Vec<HttpRequest> = staged.iter().map(|(_, c)| c.clone()).collect();
-                for ((msg, _), result) in staged.iter().zip(self.net.deliver_many(&carriers)) {
-                    count(&mut tally, self.absorb_send_outcome(msg, result));
+                    // A message the batch carrier rejects (e.g. a
+                    // misaddressed embed) still gets its own round trip
+                    // and its own failure accounting.
+                    Err(_) => {
+                        for m in chunk {
+                            count(&mut tally, self.send_carrier(m));
+                        }
+                    }
                 }
             }
-            FlushStrategy::Batched { batch } => {
-                let batch = batch.max(1);
-                // Group by target preserving queue order, then chunk.
-                let mut by_target: Vec<(ServiceName, Vec<QueuedRepair>)> = Vec::new();
-                for msg in wired {
-                    match by_target.iter_mut().find(|(t, _)| *t == msg.target) {
-                        Some((_, group)) => group.push(msg),
-                        None => by_target.push((msg.target.clone(), vec![msg])),
+        }
+        for (chunk, result) in chunks.into_iter().zip(self.net.deliver_many(&carriers)) {
+            let per_msg = match result {
+                Ok(resp) if resp.status == Status::OK => {
+                    protocol::batch_results(&resp, chunk.len())
+                }
+                // Batch-level failure (offline target, rejected frame):
+                // every message in the chunk shares it.
+                other => other.map(|resp| vec![resp; chunk.len()]),
+            };
+            match per_msg {
+                Ok(per_msg) => {
+                    for (m, r) in chunk.iter().zip(per_msg) {
+                        count(&mut tally, self.absorb_send_outcome(m, Ok(r)));
                     }
                 }
-                let mut staged: Vec<(Vec<QueuedRepair>, HttpRequest)> = Vec::new();
-                for (target, group) in by_target {
-                    for chunk in group.chunks(batch) {
-                        let wire_msgs = chunk
-                            .iter()
-                            .map(|m| {
-                                RepairMessage::with_credentials(m.op.clone(), m.credentials.clone())
-                            })
-                            .collect();
-                        match RepairBatch::new(wire_msgs).to_carrier(target.as_str()) {
-                            Ok(mut c) => {
-                                // A batch carrier has one wire slot for a
-                                // context; the oldest annotated member's
-                                // tree claims the batch.
-                                let cause = chunk.iter().find_map(|m| m.trace);
-                                self.stamp_trace_from(&mut c, "send_repair_batch", cause);
-                                self.obs.registry().repair_batches_sent_total.incr();
-                                staged.push((chunk.to_vec(), c));
-                            }
-                            // A message the batch carrier rejects (e.g. a
-                            // misaddressed embed) still gets its own round
-                            // trip and its own failure accounting.
-                            Err(_) => {
-                                for m in chunk {
-                                    count(&mut tally, self.send_carrier(m));
-                                }
-                            }
-                        }
-                    }
-                }
-                let carriers: Vec<HttpRequest> = staged.iter().map(|(_, c)| c.clone()).collect();
-                for ((chunk, _), result) in staged.iter().zip(self.net.deliver_many(&carriers)) {
-                    match result {
-                        Ok(resp) if resp.status == Status::OK => {
-                            match protocol::batch_results(&resp, chunk.len()) {
-                                Ok(per_msg) => {
-                                    for (m, r) in chunk.iter().zip(per_msg) {
-                                        count(&mut tally, self.absorb_send_outcome(m, Ok(r)));
-                                    }
-                                }
-                                Err(e) => {
-                                    for m in chunk {
-                                        count(
-                                            &mut tally,
-                                            self.absorb_send_outcome(m, Err(e.clone())),
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        // Batch-level failure (offline target, rejected
-                        // frame): every message in the chunk shares it.
-                        other => {
-                            for m in chunk {
-                                count(&mut tally, self.absorb_send_outcome(m, other.clone()));
-                            }
-                        }
+                Err(e) => {
+                    for m in chunk {
+                        count(&mut tally, self.absorb_send_outcome(m, Err(e.clone())));
                     }
                 }
             }

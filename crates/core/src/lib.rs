@@ -134,7 +134,7 @@ pub mod taint;
 pub mod world;
 
 pub use admin::{AdminOp, AdminResponse, AdminStats, QueueEntry};
-pub use controller::{Controller, ControllerConfig, FlushStrategy, SendOutcome, StoreBudget};
+pub use controller::{Controller, ControllerConfig, SendOutcome, StoreBudget};
 pub use incoming::{PendingSeed, RepairMode};
 pub use protocol::{RepairBatch, RepairMessage, RepairOp};
 pub use queue::{QueueKey, QueuedRepair};

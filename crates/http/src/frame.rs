@@ -8,44 +8,33 @@
 //! serialization story across the whole system).
 //!
 //! ```text
-//! v1 +--------+------+------+-------------+------------------+
-//!    | "AIRE" | 0x01 | kind | payload len | payload (Jv text)|
-//!    | 4 B    | 1 B  | 1 B  | 4 B BE      | len B UTF-8      |
-//!    +--------+------+------+-------------+------------------+
-//!
-//! v2 +--------+------+------+------------+-------------+------------------+
-//!    | "AIRE" | 0x02 | kind | request id | payload len | payload (Jv text)|
-//!    | 4 B    | 1 B  | 1 B  | 8 B BE     | 4 B BE      | len B UTF-8      |
-//!    +--------+------+------+------------+-------------+------------------+
-//!
-//! v3 +--------+------+------+------------+-------+-------------+---------+
-//!    | "AIRE" | 0x03 | kind | request id | shard | payload len | payload |
-//!    | 4 B    | 1 B  | 1 B  | 8 B BE     | 2 B BE| 4 B BE      | len B   |
-//!    +--------+------+------+------------+-------+-------------+---------+
-//!
-//! v4 +--------+------+------+------------+-------+----------+-------------+-------------+---------+
-//!    | "AIRE" | 0x04 | kind | request id | shard | trace id | parent span | payload len | payload |
-//!    | 4 B    | 1 B  | 1 B  | 8 B BE     | 2 B BE| 8 B BE   | 8 B BE      | 4 B BE      | len B   |
-//!    +--------+------+------+------------+-------+----------+-------------+-------------+---------+
+//! +--------+------+------+------------+-------+----------+-------------+-------------+---------+
+//! | "AIRE" | 0x05 | kind | request id | shard | trace id | parent span | payload len | payload |
+//! | 4 B    | 1 B  | 1 B  | 8 B BE     | 2 B BE| 8 B BE   | 8 B BE      | 4 B BE      | len B   |
+//! +--------+------+------+------------+-------+----------+-------------+-------------+---------+
 //! ```
 //!
-//! Version 2 differs from version 1 only by the **request id** field: a
-//! sender-chosen tag echoed back on the matching `Response`/`Error`
-//! frame, which is what lets a dialer keep several requests in flight on
-//! one connection and match replies out of order (pipelining). Version 3
-//! adds a 2-byte **shard hint** after the request id: a dialer that
-//! knows the receiving daemon runs `--workers N` shard workers names the
-//! worker its request belongs to, so the server can hand the raw bytes
-//! straight to that worker without decoding the payload centrally. The
-//! sentinel `0xFFFF` ([`NO_SHARD_HINT`]) means "no hint" — the server
-//! decodes and routes as if the frame were v2. Version 4 adds a 16-byte
-//! **trace field** (trace id + parent span, both 8 B BE) after the shard
-//! hint, mirroring the `Aire-Trace` header so the observability plane
-//! survives even senders that strip unknown headers; a trace id of 0
-//! means "untraced" (the encoder only emits v4 when a real context is
-//! attached). All four versions are accepted on the read side; a reply
-//! carries a tag exactly when its request did, so v1-only peers keep
-//! working unchanged.
+//! There is one header, and every frame carries every field:
+//!
+//! * the **request id** is a sender-chosen tag echoed back on the
+//!   matching `Response`/`Error` frame, which is what lets a dialer keep
+//!   several requests in flight on one connection and match replies out
+//!   of order (pipelining), and lets a single call refuse a reply that
+//!   answers some other request;
+//! * the **shard hint** names the shard worker of a `--workers N`
+//!   daemon the request belongs to, so the server can hand the raw bytes
+//!   straight to that worker without decoding the payload centrally;
+//!   [`NO_SHARD_HINT`] means "no hint" — the server decodes and routes
+//!   the payload itself;
+//! * the **trace field** (trace id + parent span) mirrors the
+//!   `Aire-Trace` header so the observability plane survives even
+//!   senders that strip unknown headers; [`NO_TRACE`] (trace id 0) means
+//!   "untraced".
+//!
+//! Frames that have nothing to say in a field (greetings, replies,
+//! shutdown) carry its sentinel. A version byte other than [`VERSION`]
+//! — including the four retired layouts 1–4 — is refused with
+//! [`FrameError::BadVersion`].
 //!
 //! Malformed input is rejected with a [`FrameError`] that names the
 //! problem (bad magic, unknown kind, truncation with the byte counts,
@@ -67,40 +56,21 @@ use crate::{Headers, HttpRequest, HttpResponse};
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"AIRE";
 
-/// Wire-format version carried in every untagged frame header.
-pub const VERSION: u8 = 1;
+/// The wire-format version byte of every frame. Bytes 1–4 named the
+/// retired variable-length headers and are refused like any other
+/// unknown version.
+pub const VERSION: u8 = 5;
 
-/// Wire-format version of tagged (pipelined) frames: identical to
-/// [`VERSION`] plus an 8-byte request id between the kind byte and the
-/// payload length.
-pub const VERSION_2: u8 = 2;
-
-/// Wire-format version of shard-hinted frames: identical to
-/// [`VERSION_2`] plus a 2-byte shard hint between the request id and
-/// the payload length.
-pub const VERSION_3: u8 = 3;
-
-/// Wire-format version of traced frames: identical to [`VERSION_3`]
-/// plus a 16-byte trace field (trace id + parent span) between the
-/// shard hint and the payload length.
-pub const VERSION_4: u8 = 4;
-
-/// The v3 shard-hint value meaning "no hint": the server decodes and
-/// routes the payload itself, exactly as for a v2 frame.
+/// The shard-hint value meaning "no hint": the server decodes and
+/// routes the payload itself.
 pub const NO_SHARD_HINT: u16 = 0xFFFF;
 
-/// Fixed v1 header size: magic + version + kind + payload length.
-pub const HEADER_LEN: usize = 10;
+/// The trace field `(trace id, parent span)` of an untraced frame.
+pub const NO_TRACE: (u64, u64) = (0, 0);
 
-/// Fixed v2 header size: [`HEADER_LEN`] plus the 8-byte request id.
-pub const HEADER_LEN_V2: usize = 18;
-
-/// Fixed v3 header size: [`HEADER_LEN_V2`] plus the 2-byte shard hint.
-pub const HEADER_LEN_V3: usize = 20;
-
-/// Fixed v4 header size: [`HEADER_LEN_V3`] plus the 16-byte trace
-/// field.
-pub const HEADER_LEN_V4: usize = 36;
+/// Fixed header size: magic + version + kind + request id + shard hint
+/// + trace id + parent span + payload length.
+pub const HEADER_LEN: usize = 36;
 
 /// Maximum accepted payload size. Controller snapshots are the largest
 /// legitimate payloads; 64 MiB leaves room while bounding what a
@@ -168,16 +138,12 @@ impl fmt::Display for FrameKind {
 pub struct Frame {
     /// What the payload is.
     pub kind: FrameKind,
-    /// The pipelining tag: `Some` for a v2/v3 frame, `None` for v1. A
-    /// server echoes a request's tag on its reply; an untagged request
-    /// gets an untagged reply.
-    pub request_id: Option<u64>,
-    /// The v3/v4 shard hint (`Some` iff the frame was v3 or v4; the
-    /// sender's [`NO_SHARD_HINT`] arrives as `Some(NO_SHARD_HINT)`).
-    pub shard_hint: Option<u16>,
-    /// The v4 trace field: `(trace_id, parent_span)`, `Some` iff the
-    /// frame was v4.
-    pub trace: Option<(u64, u64)>,
+    /// The pipelining tag: a server echoes a request's id on its reply.
+    pub request_id: u64,
+    /// The shard hint, or [`NO_SHARD_HINT`].
+    pub shard_hint: u16,
+    /// The trace field `(trace_id, parent_span)`, or [`NO_TRACE`].
+    pub trace: (u64, u64),
     /// The structured payload.
     pub payload: Jv,
 }
@@ -223,7 +189,7 @@ impl fmt::Display for FrameError {
             FrameError::BadVersion(v) => {
                 write!(
                     f,
-                    "unsupported frame version {v} (this node speaks {VERSION}, {VERSION_2}, {VERSION_3}, and {VERSION_4})"
+                    "unsupported frame version {v} (this node speaks {VERSION})"
                 )
             }
             FrameError::UnknownKind(k) => write!(f, "unknown frame kind byte {k}"),
@@ -245,57 +211,15 @@ impl std::error::Error for FrameError {}
 /// immediately instead of burning a full transfer only to be rejected
 /// by the peer (and a payload beyond `u32` could never even declare its
 /// length honestly).
-pub fn encode_frame(kind: FrameKind, payload: &Jv) -> Result<Vec<u8>, FrameError> {
-    encode_frame_inner(kind, None, None, None, payload)
-}
-
-/// Encodes one tagged (version-2) frame. Same caps as [`encode_frame`];
-/// the only difference on the wire is the version byte and the 8-byte
-/// request id the peer will echo on its reply.
-pub fn encode_frame_v2(
-    kind: FrameKind,
-    request_id: u64,
-    payload: &Jv,
-) -> Result<Vec<u8>, FrameError> {
-    encode_frame_inner(kind, Some(request_id), None, None, payload)
-}
-
-/// Encodes one shard-hinted (version-3) frame: [`encode_frame_v2`] plus
-/// the 2-byte shard hint. A hint of [`NO_SHARD_HINT`] is legal and
-/// means "route centrally".
-pub fn encode_frame_v3(
-    kind: FrameKind,
-    request_id: u64,
-    shard_hint: u16,
-    payload: &Jv,
-) -> Result<Vec<u8>, FrameError> {
-    encode_frame_inner(kind, Some(request_id), Some(shard_hint), None, payload)
-}
-
-/// Encodes one traced (version-4) frame: [`encode_frame_v3`] plus the
-/// 16-byte trace field `(trace_id, parent_span)`. A sender with a trace
-/// context but no shard hint passes [`NO_SHARD_HINT`].
-pub fn encode_frame_v4(
+///
+/// `request_id` is the tag the peer echoes on its reply; `shard_hint`
+/// and `trace` take [`NO_SHARD_HINT`] / [`NO_TRACE`] when the sender has
+/// nothing to say.
+pub fn encode_frame(
     kind: FrameKind,
     request_id: u64,
     shard_hint: u16,
     trace: (u64, u64),
-    payload: &Jv,
-) -> Result<Vec<u8>, FrameError> {
-    encode_frame_inner(
-        kind,
-        Some(request_id),
-        Some(shard_hint),
-        Some(trace),
-        payload,
-    )
-}
-
-fn encode_frame_inner(
-    kind: FrameKind,
-    request_id: Option<u64>,
-    shard_hint: Option<u16>,
-    trace: Option<(u64, u64)>,
     payload: &Jv,
 ) -> Result<Vec<u8>, FrameError> {
     let body = payload.encode();
@@ -305,27 +229,14 @@ fn encode_frame_inner(
             max: MAX_PAYLOAD_LEN,
         });
     }
-    let (version, header_len) = match (request_id.is_some(), shard_hint.is_some(), trace.is_some())
-    {
-        (true, true, true) => (VERSION_4, HEADER_LEN_V4),
-        (true, true, false) => (VERSION_3, HEADER_LEN_V3),
-        (true, false, _) => (VERSION_2, HEADER_LEN_V2),
-        _ => (VERSION, HEADER_LEN),
-    };
-    let mut out = Vec::with_capacity(header_len + body.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
     out.extend_from_slice(&MAGIC);
-    out.push(version);
+    out.push(VERSION);
     out.push(kind.as_u8());
-    if let Some(id) = request_id {
-        out.extend_from_slice(&id.to_be_bytes());
-    }
-    if let Some(hint) = shard_hint {
-        out.extend_from_slice(&hint.to_be_bytes());
-    }
-    if let Some((trace_id, parent_span)) = trace {
-        out.extend_from_slice(&trace_id.to_be_bytes());
-        out.extend_from_slice(&parent_span.to_be_bytes());
-    }
+    out.extend_from_slice(&request_id.to_be_bytes());
+    out.extend_from_slice(&shard_hint.to_be_bytes());
+    out.extend_from_slice(&trace.0.to_be_bytes());
+    out.extend_from_slice(&trace.1.to_be_bytes());
     out.extend_from_slice(&(body.len() as u32).to_be_bytes());
     out.extend_from_slice(body.as_bytes());
     Ok(out)
@@ -335,94 +246,58 @@ fn encode_frame_inner(
 /// arrive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
-    /// The wire version ([`VERSION`], [`VERSION_2`], or [`VERSION_3`]).
-    pub version: u8,
     /// What the payload will be.
     pub kind: FrameKind,
-    /// The pipelining tag (`Some` iff `version` is at least
-    /// [`VERSION_2`]).
-    pub request_id: Option<u64>,
-    /// The shard hint (`Some` iff `version` is at least [`VERSION_3`]).
-    pub shard_hint: Option<u16>,
-    /// The trace field (`Some` iff `version` is [`VERSION_4`]).
-    pub trace: Option<(u64, u64)>,
+    /// The pipelining tag.
+    pub request_id: u64,
+    /// The shard hint, or [`NO_SHARD_HINT`].
+    pub shard_hint: u16,
+    /// The trace field, or [`NO_TRACE`].
+    pub trace: (u64, u64),
     /// Declared payload byte count.
     pub payload_len: usize,
 }
 
 impl FrameHeader {
-    /// Size of this header on the wire.
-    pub fn header_len(&self) -> usize {
-        if self.trace.is_some() {
-            HEADER_LEN_V4
-        } else if self.shard_hint.is_some() {
-            HEADER_LEN_V3
-        } else if self.request_id.is_some() {
-            HEADER_LEN_V2
-        } else {
-            HEADER_LEN
-        }
-    }
-
     /// Total size of the frame (header plus payload).
     pub fn frame_len(&self) -> usize {
-        self.header_len() + self.payload_len
+        HEADER_LEN + self.payload_len
     }
 }
 
-/// Validates a frame header (either version) and returns its decoded
-/// fields, including how many bytes the whole frame will occupy.
+/// Validates a frame header and returns its decoded fields, including
+/// how many bytes the whole frame will occupy.
 ///
-/// `buf` must hold the complete header — [`HEADER_LEN`] bytes for v1,
-/// [`HEADER_LEN_V2`] for v2 (the version byte at offset 4 says which);
-/// stream readers call this once enough bytes have arrived to learn how
-/// much more to read.
+/// Stream readers call this as bytes arrive: fewer than [`HEADER_LEN`]
+/// bytes is a [`FrameError::Truncated`] ("keep reading") — unless the
+/// magic, version or kind byte already in hand is wrong, which is
+/// refused at once, so a peer speaking something else entirely gets a
+/// named error without first having to send a header's worth of it.
 pub fn decode_header(buf: &[u8]) -> Result<FrameHeader, FrameError> {
+    if let Some(magic) = buf.first_chunk::<4>() {
+        if *magic != MAGIC {
+            return Err(FrameError::BadMagic(*magic));
+        }
+    }
+    if buf.len() > 4 && buf[4] != VERSION {
+        return Err(FrameError::BadVersion(buf[4]));
+    }
+    if buf.len() > 5 && FrameKind::parse(buf[5]).is_none() {
+        return Err(FrameError::UnknownKind(buf[5]));
+    }
     if buf.len() < HEADER_LEN {
         return Err(FrameError::Truncated {
             needed: HEADER_LEN,
             got: buf.len(),
         });
     }
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&buf[..4]);
-    if magic != MAGIC {
-        return Err(FrameError::BadMagic(magic));
-    }
-    let version = buf[4];
-    if version != VERSION && version != VERSION_2 && version != VERSION_3 && version != VERSION_4 {
-        return Err(FrameError::BadVersion(version));
-    }
-    let kind = FrameKind::parse(buf[5]).ok_or(FrameError::UnknownKind(buf[5]))?;
-    let (request_id, shard_hint, trace, len_at) = if version == VERSION {
-        (None, None, None, 6)
-    } else {
-        let header_len = match version {
-            VERSION_4 => HEADER_LEN_V4,
-            VERSION_3 => HEADER_LEN_V3,
-            _ => HEADER_LEN_V2,
-        };
-        if buf.len() < header_len {
-            return Err(FrameError::Truncated {
-                needed: header_len,
-                got: buf.len(),
-            });
-        }
-        let be64 = |at: usize| {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&buf[at..at + 8]);
-            u64::from_be_bytes(b)
-        };
-        let hint = (version >= VERSION_3).then(|| u16::from_be_bytes([buf[14], buf[15]]));
-        let trace = (version == VERSION_4).then(|| (be64(16), be64(24)));
-        (Some(be64(6)), hint, trace, header_len - 4)
+    let kind = FrameKind::parse(buf[5]).expect("kind byte checked above");
+    let be64 = |at: usize| {
+        let mut b = [0u8; 8];
+        b.copy_from_slice(&buf[at..at + 8]);
+        u64::from_be_bytes(b)
     };
-    let len = u32::from_be_bytes([
-        buf[len_at],
-        buf[len_at + 1],
-        buf[len_at + 2],
-        buf[len_at + 3],
-    ]) as usize;
+    let len = u32::from_be_bytes([buf[32], buf[33], buf[34], buf[35]]) as usize;
     if len > MAX_PAYLOAD_LEN {
         return Err(FrameError::Oversized {
             len,
@@ -430,17 +305,16 @@ pub fn decode_header(buf: &[u8]) -> Result<FrameHeader, FrameError> {
         });
     }
     Ok(FrameHeader {
-        version,
         kind,
-        request_id,
-        shard_hint,
-        trace,
+        request_id: be64(6),
+        shard_hint: u16::from_be_bytes([buf[14], buf[15]]),
+        trace: (be64(16), be64(24)),
         payload_len: len,
     })
 }
 
-/// Decodes one frame (either version) from the front of `buf`,
-/// returning it and the number of bytes consumed.
+/// Decodes one frame from the front of `buf`, returning it and the
+/// number of bytes consumed.
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
     let header = decode_header(buf)?;
     let total = header.frame_len();
@@ -450,7 +324,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
             got: buf.len(),
         });
     }
-    let text = std::str::from_utf8(&buf[header.header_len()..total])
+    let text = std::str::from_utf8(&buf[HEADER_LEN..total])
         .map_err(|e| FrameError::Payload(format!("payload is not UTF-8: {e}")))?;
     let payload = Jv::decode(text).map_err(|e| FrameError::Payload(e.to_string()))?;
     Ok((
@@ -465,9 +339,10 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
     ))
 }
 
-/// Frames a request.
+/// Frames a request the way a lone caller would: request id 0, no
+/// shard hint, no trace. (The TCP dialer tags its own frames.)
 pub fn encode_request(req: &HttpRequest) -> Result<Vec<u8>, FrameError> {
-    encode_frame(FrameKind::Request, &req.to_jv())
+    encode_frame(FrameKind::Request, 0, NO_SHARD_HINT, NO_TRACE, &req.to_jv())
 }
 
 /// Unpacks a [`FrameKind::Request`] frame.
@@ -481,9 +356,15 @@ pub fn decode_request(frame: &Frame) -> Result<HttpRequest, FrameError> {
     HttpRequest::from_jv(&frame.payload).map_err(FrameError::Payload)
 }
 
-/// Frames a response.
+/// Frames a response with request id 0 (see [`encode_request`]).
 pub fn encode_response(resp: &HttpResponse) -> Result<Vec<u8>, FrameError> {
-    encode_frame(FrameKind::Response, &resp.to_jv())
+    encode_frame(
+        FrameKind::Response,
+        0,
+        NO_SHARD_HINT,
+        NO_TRACE,
+        &resp.to_jv(),
+    )
 }
 
 /// Unpacks a [`FrameKind::Response`] frame.
@@ -621,16 +502,15 @@ mod tests {
 
     #[test]
     fn truncation_names_the_byte_counts() {
-        let bytes = encode_request(&sample_request()).unwrap();
-        for cut in [0, 3, HEADER_LEN - 1, HEADER_LEN, bytes.len() - 1] {
+        let bytes = encode_frame(FrameKind::Response, 7, 1, (11, 12), &Jv::Null).unwrap();
+        for cut in 0..bytes.len() {
             let err = decode_frame(&bytes[..cut]).unwrap_err();
-            match err {
-                FrameError::Truncated { needed, got } => {
-                    assert_eq!(got, cut);
-                    assert!(needed > got);
-                }
-                other => panic!("cut at {cut}: expected truncation, got {other}"),
-            }
+            let needed = if cut < HEADER_LEN {
+                HEADER_LEN
+            } else {
+                bytes.len()
+            };
+            assert_eq!(err, FrameError::Truncated { needed, got: cut });
         }
     }
 
@@ -651,12 +531,26 @@ mod tests {
             decode_frame(&bytes).unwrap_err(),
             FrameError::UnknownKind(77)
         );
+        // Each is refused as soon as the offending byte is in hand, well
+        // short of a full header.
+        assert!(matches!(
+            decode_header(b"POST").unwrap_err(),
+            FrameError::BadMagic(_)
+        ));
+        assert_eq!(
+            decode_header(b"AIRE\x01").unwrap_err(),
+            FrameError::BadVersion(1)
+        );
+        assert_eq!(
+            decode_header(&[b'A', b'I', b'R', b'E', VERSION, 77]).unwrap_err(),
+            FrameError::UnknownKind(77)
+        );
     }
 
     #[test]
     fn oversized_declared_length_is_rejected_before_buffering() {
         let mut bytes = encode_request(&sample_request()).unwrap();
-        bytes[6..10].copy_from_slice(&u32::MAX.to_be_bytes());
+        bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&u32::MAX.to_be_bytes());
         let err = decode_header(&bytes).unwrap_err();
         assert!(matches!(err, FrameError::Oversized { .. }), "{err}");
         assert!(err.to_string().contains("cap"));
@@ -664,7 +558,8 @@ mod tests {
 
     #[test]
     fn garbage_payload_is_rejected_with_the_decode_error() {
-        let mut bytes = encode_frame(FrameKind::Request, &Jv::s("x")).unwrap();
+        let mut bytes =
+            encode_frame(FrameKind::Request, 0, NO_SHARD_HINT, NO_TRACE, &Jv::s("x")).unwrap();
         let n = bytes.len();
         bytes[n - 1] = 0xFF; // invalid UTF-8 inside the payload
         let err = decode_frame(&bytes).unwrap_err();
@@ -673,9 +568,9 @@ mod tests {
         // Valid Jv, wrong shape for the kind.
         let frame = Frame {
             kind: FrameKind::Request,
-            request_id: None,
-            shard_hint: None,
-            trace: None,
+            request_id: 0,
+            shard_hint: NO_SHARD_HINT,
+            trace: NO_TRACE,
             payload: Jv::Null,
         };
         assert!(decode_request(&frame).is_err());
@@ -726,176 +621,42 @@ mod tests {
     }
 
     #[test]
-    fn tagged_frames_round_trip_with_their_request_id() {
+    fn every_sentinel_combination_round_trips() {
         let req = sample_request();
-        let bytes = encode_frame_v2(FrameKind::Request, 0xDEAD_BEEF_0042, &req.to_jv()).unwrap();
-        assert_eq!(bytes[4], VERSION_2);
-        assert_eq!(
-            bytes.len(),
-            framed_request_len(&req) + (HEADER_LEN_V2 - HEADER_LEN)
-        );
-        let header = decode_header(&bytes).unwrap();
-        assert_eq!(header.version, VERSION_2);
-        assert_eq!(header.request_id, Some(0xDEAD_BEEF_0042));
-        assert_eq!(header.header_len(), HEADER_LEN_V2);
-        assert_eq!(header.frame_len(), bytes.len());
-        let (frame, used) = decode_frame(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(frame.request_id, Some(0xDEAD_BEEF_0042));
-        assert_eq!(decode_request(&frame).unwrap(), req);
-    }
-
-    #[test]
-    fn untagged_frames_decode_with_no_request_id() {
-        let bytes = encode_request(&sample_request()).unwrap();
-        assert_eq!(bytes[4], VERSION);
-        let header = decode_header(&bytes).unwrap();
-        assert_eq!(header.version, VERSION);
-        assert_eq!(header.request_id, None);
-        assert_eq!(header.header_len(), HEADER_LEN);
-        let (frame, _) = decode_frame(&bytes).unwrap();
-        assert_eq!(frame.request_id, None);
-    }
-
-    #[test]
-    fn truncated_v2_headers_name_the_longer_header() {
-        let bytes = encode_frame_v2(FrameKind::Response, 7, &Jv::Null).unwrap();
-        for cut in [HEADER_LEN, HEADER_LEN_V2 - 1] {
-            assert_eq!(
-                decode_header(&bytes[..cut]).unwrap_err(),
-                FrameError::Truncated {
-                    needed: HEADER_LEN_V2,
-                    got: cut
+        for request_id in [0, 0xDEAD_BEEF_0042] {
+            for shard_hint in [NO_SHARD_HINT, 2] {
+                for trace in [NO_TRACE, (0x1234_5678_9ABC_DEF0, 0x0FED_CBA9_8765_4321)] {
+                    let bytes = encode_frame(
+                        FrameKind::Request,
+                        request_id,
+                        shard_hint,
+                        trace,
+                        &req.to_jv(),
+                    )
+                    .unwrap();
+                    assert_eq!(bytes[4], VERSION);
+                    assert_eq!(bytes.len(), framed_request_len(&req));
+                    let header = decode_header(&bytes).unwrap();
+                    assert_eq!(header.frame_len(), bytes.len());
+                    let (frame, used) = decode_frame(&bytes).unwrap();
+                    assert_eq!(used, bytes.len());
+                    assert_eq!(frame.request_id, request_id);
+                    assert_eq!(frame.shard_hint, shard_hint);
+                    assert_eq!(frame.trace, trace);
+                    assert_eq!(decode_request(&frame).unwrap(), req);
                 }
-            );
-        }
-        for cut in 0..bytes.len() {
-            let err = decode_frame(&bytes[..cut]).unwrap_err();
-            match err {
-                FrameError::Truncated { needed, got } => {
-                    assert_eq!(got, cut);
-                    assert!(needed > got && needed <= bytes.len());
-                }
-                other => panic!("cut at {cut}: expected truncation, got {other}"),
             }
         }
     }
 
     #[test]
-    fn versions_past_four_are_still_rejected() {
-        let mut bytes = encode_frame_v4(FrameKind::Request, 1, 0, (1, 0), &Jv::Null).unwrap();
-        bytes[4] = 5;
-        assert_eq!(decode_frame(&bytes).unwrap_err(), FrameError::BadVersion(5));
-    }
-
-    #[test]
-    fn traced_frames_round_trip_with_trace_hint_and_tag() {
-        let req = sample_request();
-        let trace = (0x1234_5678_9ABC_DEF0u64, 0x0FED_CBA9_8765_4321u64);
-        let bytes = encode_frame_v4(FrameKind::Request, 0x51, 2, trace, &req.to_jv()).unwrap();
-        assert_eq!(bytes[4], VERSION_4);
-        assert_eq!(
-            bytes.len(),
-            framed_request_len(&req) + (HEADER_LEN_V4 - HEADER_LEN)
-        );
-        let header = decode_header(&bytes).unwrap();
-        assert_eq!(header.version, VERSION_4);
-        assert_eq!(header.request_id, Some(0x51));
-        assert_eq!(header.shard_hint, Some(2));
-        assert_eq!(header.trace, Some(trace));
-        assert_eq!(header.header_len(), HEADER_LEN_V4);
-        assert_eq!(header.frame_len(), bytes.len());
-        let (frame, used) = decode_frame(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(frame.request_id, Some(0x51));
-        assert_eq!(frame.shard_hint, Some(2));
-        assert_eq!(frame.trace, Some(trace));
-        assert_eq!(decode_request(&frame).unwrap(), req);
-    }
-
-    #[test]
-    fn traced_frames_accept_the_no_hint_sentinel() {
-        let bytes =
-            encode_frame_v4(FrameKind::Request, 9, NO_SHARD_HINT, (7, 3), &Jv::Null).unwrap();
-        let (frame, _) = decode_frame(&bytes).unwrap();
-        assert_eq!(frame.shard_hint, Some(NO_SHARD_HINT));
-        assert_eq!(frame.trace, Some((7, 3)));
-    }
-
-    #[test]
-    fn truncated_v4_headers_name_the_longer_header() {
-        let bytes = encode_frame_v4(FrameKind::Response, 7, 1, (11, 12), &Jv::Null).unwrap();
-        for cut in [HEADER_LEN, HEADER_LEN_V2, HEADER_LEN_V3, HEADER_LEN_V4 - 1] {
-            assert_eq!(
-                decode_header(&bytes[..cut]).unwrap_err(),
-                FrameError::Truncated {
-                    needed: HEADER_LEN_V4,
-                    got: cut
-                }
-            );
-        }
-        for cut in 0..bytes.len() {
-            let err = decode_frame(&bytes[..cut]).unwrap_err();
-            match err {
-                FrameError::Truncated { needed, got } => {
-                    assert_eq!(got, cut);
-                    assert!(needed > got && needed <= bytes.len());
-                }
-                other => panic!("cut at {cut}: expected truncation, got {other}"),
-            }
-        }
-    }
-
-    #[test]
-    fn hinted_frames_round_trip_with_hint_and_tag() {
-        let req = sample_request();
-        let bytes = encode_frame_v3(FrameKind::Request, 0x51, 2, &req.to_jv()).unwrap();
-        assert_eq!(bytes[4], VERSION_3);
-        assert_eq!(
-            bytes.len(),
-            framed_request_len(&req) + (HEADER_LEN_V3 - HEADER_LEN)
-        );
-        let header = decode_header(&bytes).unwrap();
-        assert_eq!(header.version, VERSION_3);
-        assert_eq!(header.request_id, Some(0x51));
-        assert_eq!(header.shard_hint, Some(2));
-        assert_eq!(header.header_len(), HEADER_LEN_V3);
-        assert_eq!(header.frame_len(), bytes.len());
-        let (frame, used) = decode_frame(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(frame.request_id, Some(0x51));
-        assert_eq!(frame.shard_hint, Some(2));
-        assert_eq!(decode_request(&frame).unwrap(), req);
-    }
-
-    #[test]
-    fn the_no_hint_sentinel_survives_the_wire() {
-        let bytes = encode_frame_v3(FrameKind::Request, 9, NO_SHARD_HINT, &Jv::Null).unwrap();
-        let (frame, _) = decode_frame(&bytes).unwrap();
-        assert_eq!(frame.shard_hint, Some(NO_SHARD_HINT));
-    }
-
-    #[test]
-    fn truncated_v3_headers_name_the_longer_header() {
-        let bytes = encode_frame_v3(FrameKind::Response, 7, 1, &Jv::Null).unwrap();
-        for cut in [HEADER_LEN, HEADER_LEN_V2, HEADER_LEN_V3 - 1] {
-            assert_eq!(
-                decode_header(&bytes[..cut]).unwrap_err(),
-                FrameError::Truncated {
-                    needed: HEADER_LEN_V3,
-                    got: cut
-                }
-            );
-        }
-        for cut in 0..bytes.len() {
-            let err = decode_frame(&bytes[..cut]).unwrap_err();
-            match err {
-                FrameError::Truncated { needed, got } => {
-                    assert_eq!(got, cut);
-                    assert!(needed > got && needed <= bytes.len());
-                }
-                other => panic!("cut at {cut}: expected truncation, got {other}"),
-            }
+    fn retired_version_bytes_are_refused_by_name() {
+        for retired in 1..=4u8 {
+            let mut bytes = encode_request(&sample_request()).unwrap();
+            bytes[4] = retired;
+            let err = decode_frame(&bytes).unwrap_err();
+            assert_eq!(err, FrameError::BadVersion(retired));
+            assert!(err.to_string().contains(&retired.to_string()), "{err}");
         }
     }
 

@@ -465,10 +465,9 @@ impl Network {
     /// transport pipelines it over one pooled connection), and each
     /// result is accounted individually — delivered/failed counts and
     /// byte totals come out exactly as if [`Network::deliver`] had been
-    /// called per request. Bytes are counted with the canonical v1
-    /// framed lengths, the same single source of truth as sequential
-    /// delivery, so Table 4 accounting does not depend on whether a
-    /// transport happened to use tagged (v2) frames on the wire.
+    /// called per request. Bytes are counted with the same framed
+    /// lengths as sequential delivery, so Table 4 accounting does not
+    /// depend on how a transport moved the batch.
     ///
     /// A batch naming more than one host falls back to per-request
     /// delivery — no single connection could carry it anyway.

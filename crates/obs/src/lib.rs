@@ -8,8 +8,9 @@
 //!
 //! * [`TraceContext`] — a `(trace_id, parent_span)` pair minted at the
 //!   originating request and propagated on the wire (the `Aire-Trace`
-//!   header, mirrored into frame v4), so one flush yields a single tree
-//!   spanning driver → controller → peer services → shard workers.
+//!   header, mirrored into the frame header), so one flush yields a
+//!   single tree spanning driver → controller → peer services → shard
+//!   workers.
 //! * [`SpanRing`] — a bounded, drop-oldest in-memory buffer of recorded
 //!   [`Span`]s with an exported drop counter, so tracing never unbounds
 //!   memory during a 10k-entry flush.
@@ -358,7 +359,7 @@ pub struct MetricsRegistry {
     pub repair_msgs_sent_total: Counter,
     /// Repair messages received and applied (repair throughput, in).
     pub repair_msgs_received_total: Counter,
-    /// Repair batches shipped by the batched flush strategy.
+    /// Repair batch carriers shipped by queue flushes.
     pub repair_batches_sent_total: Counter,
     /// Logged operations re-executed during local repair.
     pub repair_ops_reexecuted_total: Counter,

@@ -46,7 +46,7 @@ use std::time::Duration;
 pub struct FaultPlan {
     /// Sever the connection after forwarding exactly this many
     /// server→client bytes (pick a count inside a frame for a mid-frame
-    /// disconnect — e.g. 3 bytes into the 10-byte greeting header).
+    /// disconnect — e.g. 3 bytes into the greeting header).
     pub cut_to_client_after: Option<usize>,
     /// Sever after forwarding this many client→server bytes (kills a
     /// request frame half-written).
@@ -58,8 +58,8 @@ pub struct FaultPlan {
     /// many frames verbatim (the transport greeting is frame 0), hold
     /// the next frame back, and emit it right after the one that
     /// follows — swapping two adjacent replies on the wire. The exact
-    /// out-of-order state a pipelined dialer must survive and a v1
-    /// in-order dialer must reject. EOF flushes the held frame so no
+    /// out-of-order state a pipelined dialer must survive. EOF flushes
+    /// the held frame so no
     /// bytes are ever lost; a stream that stops parsing as frames falls
     /// back to raw forwarding. Ignored when `cut_to_client_after` is
     /// also set.
@@ -69,7 +69,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// A plan that cuts the server→client stream 3 bytes into the first
     /// frame the server sends — deterministically mid-frame, since
-    /// every frame starts with a 10-byte header.
+    /// every frame starts with a fixed header far longer than that.
     pub fn cut_mid_first_frame() -> FaultPlan {
         FaultPlan {
             cut_to_client_after: Some(3),

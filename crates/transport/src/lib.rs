@@ -82,19 +82,15 @@
 //! asks the server to exit its loop after acknowledging — the clean-stop
 //! path for daemons.
 //!
-//! ## Pipelining (protocol v2)
+//! ## Pipelining
 //!
-//! A batch of calls ([`aire_net::Transport::call_many`]) no longer pays
-//! one full round trip per request. The dialer tags each request frame
-//! with a **request id** (the 8-byte field frame v2 adds to the header),
-//! writes up to [`DEFAULT_PIPELINE_DEPTH`] of them before the first
-//! reply arrives, and matches replies to requests by their echoed tag —
-//! so replies may legally arrive out of order. Untagged (v1) frames
-//! remain fully supported in both directions: a v1 peer answers in
-//! order, one at a time, and its replies are attributed to the oldest
-//! outstanding request; [`TcpTransport::with_pipeline`] with depth 1
-//! pins a dialer to sequential v1 framing (the cluster tests use this
-//! to prove recovery digests are identical under both framings).
+//! A batch of calls ([`aire_net::Transport::call_many`]) does not pay
+//! one full round trip per request. Every request frame carries a
+//! **request id** (see [`frame`]) the server echoes on its reply; the
+//! dialer writes up to [`PIPELINE_DEPTH`] frames before the first reply
+//! arrives and matches replies to requests by that id — so replies may
+//! legally arrive out of order. A single [`aire_net::Transport::call`]
+//! uses the same frames and refuses a reply echoing any id but its own.
 //!
 //! The single-retry invariant is re-proven per pipelined request: when
 //! a connection dies mid-batch, only requests with **zero bytes handed
@@ -116,7 +112,7 @@ mod tcp;
 pub use server::{NodeServer, ServeOutcome, DEFAULT_CONN_IDLE_TIMEOUT};
 pub use tcp::{
     shutdown_node, PoolStats, TcpTransport, DEFAULT_CONNECT_TIMEOUT, DEFAULT_IO_TIMEOUT,
-    DEFAULT_PIPELINE_DEPTH, DEFAULT_POOL_IDLE_TIMEOUT, DEFAULT_POOL_MAX_IDLE,
+    DEFAULT_POOL_IDLE_TIMEOUT, DEFAULT_POOL_MAX_IDLE, PIPELINE_DEPTH,
 };
 
 /// Something that can make progress on a node's listeners while an

@@ -8,7 +8,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::rc::{Rc, Weak};
 use std::time::{Duration, Instant};
 
-use aire_http::frame::{self, FrameKind, HEADER_LEN, NO_SHARD_HINT};
+use aire_http::frame::{self, FrameHeader, FrameKind, HEADER_LEN, NO_SHARD_HINT, NO_TRACE};
 use aire_http::HttpRequest;
 use aire_net::{Certificate, Network, NodeDispatch};
 use aire_types::{AireError, Jv};
@@ -74,26 +74,16 @@ struct Conn {
     /// shutdown ack): flush the pending reply, then close instead of
     /// waiting for more requests.
     close_after_reply: bool,
-    /// The pipelining tag of the request currently being answered: a v2
-    /// request's id, echoed on its reply so the dialer can match
-    /// out-of-order completions. `None` for v1 requests — their replies
-    /// stay untagged v1 frames.
-    reply_tag: Option<u64>,
     /// Last time bytes moved or a request was dispatched — drives the
     /// idle reaper.
     last_activity: Instant,
-    /// Sharded mode only: an *untagged* (v1) request is being executed
-    /// by a worker. Untagged replies carry no tag to match on, so the
-    /// server keeps at most one untagged request per connection in
-    /// flight — further v1 frames wait buffered until the reply goes
-    /// out, preserving the in-order contract v1 dialers rely on.
-    untagged_inflight: bool,
 }
 
-/// Where an asynchronously dispatched request's reply must go.
+/// Where an asynchronously dispatched request's reply must go: the
+/// connection, and the request id to echo on it.
 struct Ticket {
     conn: u64,
-    tag: Option<u64>,
+    tag: u64,
 }
 
 struct NodeInner {
@@ -179,7 +169,7 @@ impl NodeServer {
     /// replies are collected from [`NodeDispatch::poll`] on every pump.
     /// The serve loop itself never blocks on a worker. The greeting
     /// additionally advertises the worker count and the sharded service
-    /// names, which is what lets dialing peers attach v3 shard hints.
+    /// names, which is what lets dialing peers attach shard hints.
     pub fn bind_sharded(
         net: Network,
         services: Vec<(String, Certificate)>,
@@ -215,8 +205,9 @@ impl NodeServer {
                 Jv::list(d.sharded_hosts().into_iter().map(Jv::s)),
             );
         }
-        let hello = frame::encode_frame(FrameKind::Hello, &hello_payload)
-            .expect("certificate greetings fit any frame cap");
+        let hello =
+            frame::encode_frame(FrameKind::Hello, 0, NO_SHARD_HINT, NO_TRACE, &hello_payload)
+                .expect("certificate greetings fit any frame cap");
         Ok(NodeServer {
             inner: Rc::new(NodeInner {
                 net,
@@ -375,7 +366,7 @@ impl Pump for NodeInner {
 
 impl NodeInner {
     /// Collects every dispatch the shard workers have completed and
-    /// queues each reply on its connection — tagged iff the request was.
+    /// queues each reply on its connection, echoing the request's id.
     /// Replies whose connection died while the worker ran are dropped,
     /// exactly as a synchronous dispatch's reply dies with its
     /// connection.
@@ -395,13 +386,9 @@ impl NodeInner {
             let Some(conn) = conns.iter_mut().find(|c| c.id == t.conn) else {
                 continue;
             };
-            conn.reply_tag = t.tag;
-            if t.tag.is_none() {
-                conn.untagged_inflight = false;
-            }
             match result {
-                Ok(resp) => self.reply(conn, FrameKind::Response, &resp.to_jv()),
-                Err(e) => self.reply_error(conn, e),
+                Ok(resp) => self.reply(conn, t.tag, FrameKind::Response, &resp.to_jv()),
+                Err(e) => self.reply_error(conn, t.tag, e),
             }
         }
         true
@@ -433,9 +420,7 @@ impl NodeInner {
                         written: 0,
                         responded: false,
                         close_after_reply: false,
-                        reply_tag: None,
                         last_activity: Instant::now(),
-                        untagged_inflight: false,
                     });
                     accepted = true;
                 }
@@ -503,15 +488,11 @@ impl NodeInner {
         let mut peer_closed = false;
         let mut chunk = [0u8; 4096];
         loop {
-            if conn.inbuf.len() >= HEADER_LEN {
-                match frame::decode_header(&conn.inbuf) {
-                    // A v2 header longer than the bytes so far: keep
-                    // reading until it is complete.
-                    Err(frame::FrameError::Truncated { .. }) => {}
-                    Err(_) => break, // answered below, no point reading on
-                    Ok(h) if conn.inbuf.len() >= h.frame_len() => break,
-                    Ok(_) => {}
-                }
+            match frame::decode_header(&conn.inbuf) {
+                Err(frame::FrameError::Truncated { .. }) => {}
+                Err(_) => break, // answered below, no point reading on
+                Ok(h) if conn.inbuf.len() >= h.frame_len() => break,
+                Ok(_) => {}
             }
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
@@ -532,34 +513,24 @@ impl NodeInner {
 
         // 3. Dispatch *every* complete buffered frame — a pipelining
         // dialer writes ahead, and each request is answered (with its
-        // tag echoed) as it completes, replies accumulating in the
+        // id echoed) as it completes, replies accumulating in the
         // output buffer. Header problems (bad magic, oversized
         // declarations) are answered immediately — waiting for more
         // bytes from a corrupt peer is pointless, and the stream can no
         // longer be trusted to be frame-aligned, so the connection
-        // closes after the error flushes.
-        while conn.inbuf.len() >= HEADER_LEN && !conn.close_after_reply {
+        // closes after the error flushes. Such a header names no
+        // request, so the error goes out under request id 0.
+        while !conn.close_after_reply {
             match frame::decode_header(&conn.inbuf) {
                 Err(frame::FrameError::Truncated { .. }) => break,
                 Err(e) => {
-                    self.reply_error(conn, AireError::Protocol(format!("bad frame: {e}")));
+                    self.reply_error(conn, 0, AireError::Protocol(format!("bad frame: {e}")));
                     conn.close_after_reply = true;
                     *progressed = true;
                     break;
                 }
                 Ok(h) if conn.inbuf.len() >= h.frame_len() => {
-                    // Sharded mode: a second untagged request cannot
-                    // start while one is in flight (see
-                    // `Conn::untagged_inflight`) — it stays buffered
-                    // until the worker's reply flushes.
-                    if self.dispatch.is_some()
-                        && h.kind == FrameKind::Request
-                        && h.request_id.is_none()
-                        && conn.untagged_inflight
-                    {
-                        break;
-                    }
-                    self.dispatch(conn);
+                    self.dispatch(conn, h);
                     conn.last_activity = Instant::now();
                     *progressed = true;
                 }
@@ -605,13 +576,11 @@ impl NodeInner {
         true
     }
 
-    /// Queues a reply frame, tagged iff the request being answered was
-    /// (the tag was parked in `conn.reply_tag` by `dispatch`).
-    fn reply(&self, conn: &mut Conn, kind: FrameKind, payload: &Jv) {
-        let tag = conn.reply_tag.take();
-        let encode = |kind: FrameKind, payload: &Jv| match tag {
-            Some(t) => frame::encode_frame_v2(kind, t, payload),
-            None => frame::encode_frame(kind, payload),
+    /// Queues a reply frame echoing `tag`, the id of the request being
+    /// answered.
+    fn reply(&self, conn: &mut Conn, tag: u64, kind: FrameKind, payload: &Jv) {
+        let encode = |kind: FrameKind, payload: &Jv| {
+            frame::encode_frame(kind, tag, NO_SHARD_HINT, NO_TRACE, payload)
         };
         let framed = encode(kind, payload).unwrap_or_else(|e| {
             // An over-cap response (e.g. a gigantic snapshot) degrades
@@ -628,103 +597,48 @@ impl NodeInner {
         conn.responded = true;
     }
 
-    fn reply_error(&self, conn: &mut Conn, err: AireError) {
-        self.reply(conn, FrameKind::Error, &err.to_jv());
+    fn reply_error(&self, conn: &mut Conn, tag: u64, err: AireError) {
+        self.reply(conn, tag, FrameKind::Error, &err.to_jv());
     }
 
     /// Sharded mode: hands one complete `Request` frame to the shard
-    /// runtime instead of dispatching it in place. Returns `true` when
-    /// the frame was consumed (submitted, or answered with an error);
-    /// `false` means the frame is not a request and the synchronous path
-    /// should handle it (hello, shutdown, unknown kinds).
+    /// runtime instead of dispatching it in place.
     ///
-    /// A frame carrying a valid v3 shard hint skips the central decode
+    /// A frame carrying a valid shard hint skips the central decode
     /// entirely: the still-encoded payload goes straight to the hinted
     /// worker, which parses it on its own core — the point of the hint.
     /// Unhinted (or mis-hinted) frames are decoded here and routed by
     /// [`NodeDispatch::submit`].
-    fn dispatch_async(&self, d: &Rc<dyn NodeDispatch>, conn: &mut Conn) -> bool {
-        let Ok(h) = frame::decode_header(&conn.inbuf) else {
-            return false; // the sync path answers malformed headers
-        };
-        if h.kind != FrameKind::Request {
-            return false;
-        }
+    fn dispatch_async(&self, d: &dyn NodeDispatch, conn: &mut Conn, h: FrameHeader) {
         let ticket = self.next_ticket.get();
         self.next_ticket.set(ticket + 1);
-        if conn.plane == Plane::Data {
-            if let Some(hint) = h.shard_hint.filter(|&hint| hint != NO_SHARD_HINT) {
-                let payload = conn.inbuf[h.header_len()..h.frame_len()].to_vec();
-                if d.submit_raw(hint as usize, payload, ticket) {
-                    conn.inbuf.drain(..h.frame_len());
-                    self.tickets.borrow_mut().insert(
-                        ticket,
-                        Ticket {
-                            conn: conn.id,
-                            tag: h.request_id,
-                        },
-                    );
-                    if h.request_id.is_none() {
-                        conn.untagged_inflight = true;
-                    }
-                    return true;
-                }
-                // Out-of-range hint: fall through to the central route,
-                // which computes the true shard itself.
-            }
-        }
-        let (fr, used) = match frame::decode_frame(&conn.inbuf) {
-            Ok(pair) => pair,
-            Err(e) => {
-                conn.inbuf.clear();
-                conn.close_after_reply = true;
-                conn.reply_tag = h.request_id;
-                self.reply_error(conn, AireError::Protocol(format!("bad frame: {e}")));
-                return true;
-            }
+        let target = Ticket {
+            conn: conn.id,
+            tag: h.request_id,
         };
-        conn.inbuf.drain(..used);
-        let req = match HttpRequest::from_jv(&fr.payload) {
-            Ok(r) => r,
-            Err(e) => {
-                conn.reply_tag = fr.request_id;
-                self.reply_error(conn, AireError::Protocol(format!("bad request frame: {e}")));
-                return true;
-            }
-        };
-        if !self.hosts.contains(&req.url.host) {
-            conn.reply_tag = fr.request_id;
-            self.reply_error(
-                conn,
-                AireError::Protocol(format!(
-                    "this node serves {:?} but the request targets {:?}",
-                    self.hosts, req.url.host
-                )),
-            );
-            return true;
-        }
-        self.tickets.borrow_mut().insert(
-            ticket,
-            Ticket {
-                conn: conn.id,
-                tag: fr.request_id,
-            },
-        );
-        if fr.request_id.is_none() {
-            conn.untagged_inflight = true;
-        }
-        d.submit(conn.plane == Plane::Admin, req, ticket);
-        true
-    }
-
-    fn dispatch(&self, conn: &mut Conn) {
-        if let Some(d) = self.dispatch.clone() {
-            if self.dispatch_async(&d, conn) {
+        if conn.plane == Plane::Data && h.shard_hint != NO_SHARD_HINT {
+            let payload = conn.inbuf[HEADER_LEN..h.frame_len()].to_vec();
+            if d.submit_raw(h.shard_hint as usize, payload, ticket) {
+                conn.inbuf.drain(..h.frame_len());
+                self.tickets.borrow_mut().insert(ticket, target);
                 return;
             }
+            // Out-of-range hint: fall through to the central route,
+            // which computes the true shard itself.
         }
-        let decoded = frame::decode_frame(&conn.inbuf);
-        let fr = match decoded {
+        let Some(req) = self.take_request(conn, h) else {
+            return;
+        };
+        self.tickets.borrow_mut().insert(ticket, target);
+        d.submit(conn.plane == Plane::Admin, req, ticket);
+    }
+
+    /// Consumes the complete frame at the front of `conn.inbuf` (whose
+    /// validated header is `h`) and decodes it as a request for a hosted
+    /// service. On failure the error reply is already queued and `None`
+    /// is returned.
+    fn take_request(&self, conn: &mut Conn, h: FrameHeader) -> Option<HttpRequest> {
+        let fr = match frame::decode_frame(&conn.inbuf) {
             Ok((fr, used)) => {
                 // Consume exactly one frame; anything after it is the
                 // next request (a client may legally write ahead on a
@@ -737,47 +651,60 @@ impl NodeInner {
                 // alignment is gone).
                 conn.inbuf.clear();
                 conn.close_after_reply = true;
-                return self.reply_error(conn, AireError::Protocol(format!("bad frame: {e}")));
+                let err = AireError::Protocol(format!("bad frame: {e}"));
+                self.reply_error(conn, h.request_id, err);
+                return None;
             }
         };
-        // Park the request's tag so whatever reply this dispatch
-        // produces — response, error, shutdown ack — echoes it.
-        conn.reply_tag = fr.request_id;
-        match fr.kind {
+        let req = match HttpRequest::from_jv(&fr.payload) {
+            Ok(r) => r,
+            Err(e) => {
+                let err = AireError::Protocol(format!("bad request frame: {e}"));
+                self.reply_error(conn, h.request_id, err);
+                return None;
+            }
+        };
+        if !self.hosts.contains(&req.url.host) {
+            // Refuse to proxy: a misrouted frame is a deployment bug
+            // worth a loud, named failure.
+            let err = AireError::Protocol(format!(
+                "this node serves {:?} but the request targets {:?}",
+                self.hosts, req.url.host
+            ));
+            self.reply_error(conn, h.request_id, err);
+            return None;
+        }
+        Some(req)
+    }
+
+    /// Dispatches the complete frame at the front of `conn.inbuf`, whose
+    /// validated header is `h`. Whatever reply it produces — response,
+    /// error, shutdown ack — echoes the frame's request id.
+    fn dispatch(&self, conn: &mut Conn, h: FrameHeader) {
+        let tag = h.request_id;
+        match h.kind {
             FrameKind::Request => {
-                let req = match HttpRequest::from_jv(&fr.payload) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        return self.reply_error(
-                            conn,
-                            AireError::Protocol(format!("bad request frame: {e}")),
-                        )
-                    }
-                };
-                if !self.hosts.contains(&req.url.host) {
-                    // Refuse to proxy: a misrouted frame is a deployment
-                    // bug worth a loud, named failure.
-                    return self.reply_error(
-                        conn,
-                        AireError::Protocol(format!(
-                            "this node serves {:?} but the request targets {:?}",
-                            self.hosts, req.url.host
-                        )),
-                    );
+                if let Some(d) = self.dispatch.clone() {
+                    return self.dispatch_async(&*d, conn, h);
                 }
+                let Some(req) = self.take_request(conn, h) else {
+                    return;
+                };
                 let result = match conn.plane {
                     Plane::Data => self.net.deliver(&req),
                     Plane::Admin => self.net.deliver_admin(&req),
                 };
                 match result {
-                    Ok(resp) => self.reply(conn, FrameKind::Response, &resp.to_jv()),
-                    Err(e) => self.reply_error(conn, e),
+                    Ok(resp) => self.reply(conn, tag, FrameKind::Response, &resp.to_jv()),
+                    Err(e) => self.reply_error(conn, tag, e),
                 }
             }
             FrameKind::Shutdown => {
+                conn.inbuf.drain(..h.frame_len());
                 if conn.plane != Plane::Admin {
                     return self.reply_error(
                         conn,
+                        tag,
                         AireError::Protocol(
                             "shutdown is an operator-listener frame, not a data-plane one"
                                 .to_string(),
@@ -786,12 +713,16 @@ impl NodeInner {
                 }
                 self.shutdown.set(true);
                 conn.close_after_reply = true;
-                self.reply(conn, FrameKind::Shutdown, &Jv::Null);
+                self.reply(conn, tag, FrameKind::Shutdown, &Jv::Null);
             }
-            other => self.reply_error(
-                conn,
-                AireError::Protocol(format!("unexpected {other} frame from a client")),
-            ),
+            other => {
+                conn.inbuf.drain(..h.frame_len());
+                self.reply_error(
+                    conn,
+                    tag,
+                    AireError::Protocol(format!("unexpected {other} frame from a client")),
+                )
+            }
         }
     }
 }

@@ -22,11 +22,11 @@ pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_millis(1_000);
 /// Default time allowed for a full request/response exchange.
 pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Default bound on requests kept in flight per connection by
+/// Bound on requests kept in flight per connection by
 /// [`TcpTransport::call_many`]. Deep enough to hide the round trip on a
 /// long queue flush, shallow enough that a connection death re-queues a
 /// bounded amount of work.
-pub const DEFAULT_PIPELINE_DEPTH: usize = 32;
+pub const PIPELINE_DEPTH: usize = 32;
 
 /// First reconnect backoff after a failed dial; doubles per consecutive
 /// failure up to [`DIAL_BACKOFF_CAP`], ±25% jitter.
@@ -139,7 +139,6 @@ pub struct TcpTransport {
     io_timeout: Duration,
     pool_max_idle: usize,
     pool_idle_timeout: Duration,
-    pipeline_depth: usize,
     data_pool: RefCell<VecDeque<Parked>>,
     admin_pool: RefCell<VecDeque<Parked>>,
     dials: Cell<u64>,
@@ -165,9 +164,12 @@ pub struct TcpTransport {
     /// reflected here the moment the pool reconnects.
     cert_cache: RefCell<Option<Certificate>>,
     /// Shard-worker count the peer advertised in its last greeting
-    /// (1 when the peer is unsharded or predates the advertisement).
-    /// Drives the v3 shard hints on pipelined repair frames.
+    /// (1 when the peer is unsharded). Drives the shard hints on repair
+    /// frames.
     peer_workers: Cell<usize>,
+    /// The request id the next single [`TcpTransport::exchange`] tags
+    /// its frame with; a reply echoing anything else is refused.
+    next_request_id: Cell<u64>,
     /// Service names the peer's greeting declared sharded — only their
     /// repair traffic is worth hinting (everything else pins to shard 0
     /// server-side regardless).
@@ -197,7 +199,6 @@ impl TcpTransport {
             io_timeout: DEFAULT_IO_TIMEOUT,
             pool_max_idle: DEFAULT_POOL_MAX_IDLE,
             pool_idle_timeout: DEFAULT_POOL_IDLE_TIMEOUT,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             data_pool: RefCell::new(VecDeque::new()),
             admin_pool: RefCell::new(VecDeque::new()),
             dials: Cell::new(0),
@@ -212,6 +213,7 @@ impl TcpTransport {
             pump: RefCell::new(None),
             cert_cache: RefCell::new(None),
             peer_workers: Cell::new(1),
+            next_request_id: Cell::new(0),
             peer_sharded: RefCell::new(Vec::new()),
             registry: RefCell::new(None),
         }
@@ -237,31 +239,12 @@ impl TcpTransport {
         self
     }
 
-    /// Overrides the pool bound and idle timeout. `max_idle` is per
-    /// plane; `0` disables pooling entirely (every call dials, exchanges
-    /// once, and closes — the original per-call behaviour, kept for the
-    /// bench baseline and for callers that want it).
+    /// Overrides the pool bound (`max_idle`, per plane) and idle
+    /// timeout — the lever the pool property suite uses to prove the
+    /// bound holds and nothing leaks.
     pub fn with_pool(mut self, max_idle: usize, idle_timeout: Duration) -> TcpTransport {
         self.pool_max_idle = max_idle;
         self.pool_idle_timeout = idle_timeout;
-        self
-    }
-
-    /// Disables connection reuse: the per-call dial-greet-exchange-close
-    /// behaviour this dialer had before the pool existed.
-    pub fn without_pool(self) -> TcpTransport {
-        let timeout = self.pool_idle_timeout;
-        self.with_pool(0, timeout)
-    }
-
-    /// Overrides how many requests [`Transport::call_many`] keeps in
-    /// flight per connection. `depth <= 1` disables pipelining entirely:
-    /// batched calls degrade to sequential [`Transport::call`]s and the
-    /// dialer emits only v1 (untagged) frames — the switch the cluster
-    /// tests use to prove recovery digests are identical under both
-    /// framings.
-    pub fn with_pipeline(mut self, depth: usize) -> TcpTransport {
-        self.pipeline_depth = depth;
         self
     }
 
@@ -293,10 +276,10 @@ impl TcpTransport {
         self.peer_workers.get()
     }
 
-    /// The v3 shard hint for a request, or `None` when the frame should
-    /// stay v2/v1. Only `replace`/`delete` repair carriers to a service
-    /// the peer declared sharded are hinted: their target shard is fully
-    /// determined by the repaired request's striped seq
+    /// The shard hint for a request, or `None` when the server should
+    /// route it centrally. Only `replace`/`delete` repair carriers to a
+    /// service the peer declared sharded are hinted: their target shard
+    /// is fully determined by the repaired request's striped seq
     /// (`(seq - 1) % workers`), which the dialer can compute without
     /// knowing anything about the application. Every other request needs
     /// the application's shard key, so the server routes it centrally.
@@ -421,13 +404,10 @@ impl TcpTransport {
         }
     }
 
-    /// Parks a connection after a clean exchange (or drops it when the
-    /// pool is disabled or full — the oldest parked connection yields,
-    /// since the freshest one is the least likely to go stale next).
+    /// Parks a connection after a clean exchange. When the pool is
+    /// full the oldest parked connection yields, since the freshest one
+    /// is the least likely to go stale next.
     fn checkin(&self, plane: Plane, stream: TcpStream) {
-        if self.pool_max_idle == 0 {
-            return;
-        }
         self.reap(plane);
         let mut pool = self.pool(plane).borrow_mut();
         pool.push_back(Parked {
@@ -552,11 +532,9 @@ impl TcpTransport {
         let mut chunk = [0u8; 4096];
         let mut header: Option<FrameHeader> = None;
         loop {
-            if header.is_none() && buf.len() >= HEADER_LEN {
+            if header.is_none() {
                 match frame::decode_header(&buf) {
                     Ok(h) => header = Some(h),
-                    // A v2 header is longer than v1's minimum; keep
-                    // reading until it is complete.
                     Err(frame::FrameError::Truncated { .. }) => {}
                     Err(e) => {
                         return Err(AireError::Protocol(format!(
@@ -576,7 +554,7 @@ impl TcpTransport {
                     )));
                 }
                 if buf.len() == total {
-                    let text = std::str::from_utf8(&buf[h.header_len()..total]).map_err(|e| {
+                    let text = std::str::from_utf8(&buf[HEADER_LEN..total]).map_err(|e| {
                         AireError::Protocol(format!(
                             "frame payload from {} is not UTF-8: {e}",
                             self.host
@@ -634,8 +612,8 @@ impl TcpTransport {
         }
         self.validations.set(self.validations.get() + 1);
         // A sharded daemon advertises its worker count and which hosted
-        // services are actually split across workers; both default to
-        // the unsharded reading when absent (older peers).
+        // services are actually split across workers; an unsharded one
+        // advertises neither.
         let workers = hello
             .payload
             .get("workers")
@@ -683,13 +661,35 @@ impl TcpTransport {
         Ok(stream)
     }
 
+    /// Frames `req` the one way this dialer puts requests on the wire:
+    /// tagged `request_id`, with the shard hint the peer's greeting
+    /// makes computable and the trace context its `Aire-Trace` header
+    /// carries, so hint-routing servers can attribute a frame to its
+    /// trace without decoding the payload.
+    fn frame_request(&self, request_id: u64, req: &HttpRequest) -> AireResult<Vec<u8>> {
+        let trace = req
+            .headers
+            .get(aire_obs::TRACE_HEADER)
+            .and_then(aire_obs::TraceContext::parse)
+            .map_or(frame::NO_TRACE, |c| (c.trace_id, c.span_id));
+        frame::encode_frame(
+            FrameKind::Request,
+            request_id,
+            self.shard_hint_for(req).unwrap_or(frame::NO_SHARD_HINT),
+            trace,
+            &req.to_jv(),
+        )
+        .map_err(|e| AireError::Protocol(format!("cannot frame request: {e}")))
+    }
+
     /// One request/response exchange with pooling: reuse a healthy
     /// parked connection or dial (validating the greeting), write the
     /// framed request, read the framed reply, and park the connection
     /// again on a clean exchange. See the type docs for the retry rules.
     fn exchange(&self, plane: Plane, req: &HttpRequest) -> AireResult<HttpResponse> {
-        let framed = frame::encode_request(req)
-            .map_err(|e| AireError::Protocol(format!("cannot frame request: {e}")))?;
+        let request_id = self.next_request_id.get();
+        self.next_request_id.set(request_id.wrapping_add(1));
+        let framed = self.frame_request(request_id, req)?;
         let mut retried = false;
         loop {
             // A checked-out stream is already in the right I/O mode
@@ -736,6 +736,15 @@ impl TcpTransport {
             // retry, whatever happens — resending is the repair queue's
             // decision, exactly as with per-call dialling.
             let reply = self.read_frame(&mut stream)?;
+            if reply.request_id != request_id {
+                // An answer to some other request: whatever this
+                // connection is doing, it is not this exchange. Dropped,
+                // never parked.
+                return Err(AireError::Protocol(format!(
+                    "{} answered request {request_id} with a reply tagged {}",
+                    self.host, reply.request_id
+                )));
+            }
             return match reply.kind {
                 FrameKind::Response => {
                     let resp = HttpResponse::from_jv(&reply.payload).map_err(|e| {
@@ -761,9 +770,9 @@ impl TcpTransport {
     }
 
     /// Many request/response exchanges with pipelining: up to
-    /// `pipeline_depth` tagged (v2) request frames are kept in flight on
-    /// one connection, and replies are matched to requests by their
-    /// echoed tag — in whatever order the peer finishes them.
+    /// [`PIPELINE_DEPTH`] request frames are kept in flight on one
+    /// connection, and replies are matched to requests by their echoed
+    /// request id — in whatever order the peer finishes them.
     ///
     /// ## The retry window, per pipelined request
     ///
@@ -781,7 +790,7 @@ impl TcpTransport {
     /// everything still outstanding: one redial total, exactly as in the
     /// sequential path.
     fn exchange_many(&self, plane: Plane, reqs: &[HttpRequest]) -> Vec<AireResult<HttpResponse>> {
-        if self.pipeline_depth <= 1 || reqs.len() <= 1 {
+        if reqs.len() <= 1 {
             return reqs.iter().map(|r| self.exchange(plane, r)).collect();
         }
         let mut results: Vec<Option<AireResult<HttpResponse>>> =
@@ -792,41 +801,14 @@ impl TcpTransport {
         let mut frames: Vec<Vec<u8>> = Vec::with_capacity(reqs.len());
         let mut queue: VecDeque<usize> = VecDeque::new();
         for (i, req) in reqs.iter().enumerate() {
-            // A request stamped with a trace context gets a v4 frame: the
-            // context rides the fixed header alongside the shard hint, so
-            // hint-routing servers can attribute a frame to its trace
-            // without decoding the payload.
-            let trace = req
-                .headers
-                .get(aire_obs::TRACE_HEADER)
-                .and_then(aire_obs::TraceContext::parse)
-                .map(|c| (c.trace_id, c.span_id));
-            let framed = match (self.shard_hint_for(req), trace) {
-                (Some(hint), Some(t)) => {
-                    frame::encode_frame_v4(FrameKind::Request, i as u64, hint, t, &req.to_jv())
-                }
-                (None, Some(t)) => frame::encode_frame_v4(
-                    FrameKind::Request,
-                    i as u64,
-                    frame::NO_SHARD_HINT,
-                    t,
-                    &req.to_jv(),
-                ),
-                (Some(hint), None) => {
-                    frame::encode_frame_v3(FrameKind::Request, i as u64, hint, &req.to_jv())
-                }
-                (None, None) => frame::encode_frame_v2(FrameKind::Request, i as u64, &req.to_jv()),
-            };
-            match framed {
+            match self.frame_request(i as u64, req) {
                 Ok(f) => {
                     frames.push(f);
                     queue.push_back(i);
                 }
                 Err(e) => {
                     frames.push(Vec::new());
-                    results[i] = Some(Err(AireError::Protocol(format!(
-                        "cannot frame request: {e}"
-                    ))));
+                    results[i] = Some(Err(e));
                 }
             }
         }
@@ -909,7 +891,7 @@ impl TcpTransport {
         let mut counted_reuse = false;
         let mut last_progress = Instant::now();
         let died: Option<AireError> = 'conn: loop {
-            while staged.len() < self.pipeline_depth {
+            while staged.len() < PIPELINE_DEPTH {
                 match queue.pop_front() {
                     Some(i) => {
                         let start = wire.len();
@@ -932,7 +914,6 @@ impl TcpTransport {
                         if reused && !counted_reuse {
                             counted_reuse = true;
                             self.reuses.set(self.reuses.get() + 1);
-                            self.metric(|r| r.pool_reuses_total.incr());
                             self.metric(|r| r.pool_reuses_total.incr());
                         }
                     }
@@ -986,22 +967,12 @@ impl TcpTransport {
                         self.host, reply.kind
                     )));
                 }
-                let pos = match reply.request_id {
-                    Some(tag) => staged.iter().position(|&(i, _, _)| i as u64 == tag),
-                    // An untagged reply from a peer that answers one
-                    // request at a time, in order: it belongs to the
-                    // oldest outstanding request.
-                    None => {
-                        if staged.is_empty() {
-                            None
-                        } else {
-                            Some(0)
-                        }
-                    }
-                };
-                let Some(pos) = pos else {
+                let Some(pos) = staged
+                    .iter()
+                    .position(|&(i, _, _)| i as u64 == reply.request_id)
+                else {
                     break 'conn Some(AireError::Protocol(format!(
-                        "{} sent a reply tagged {:?} matching no request in flight",
+                        "{} sent a reply tagged {} matching no request in flight",
                         self.host, reply.request_id
                     )));
                 };
@@ -1121,8 +1092,6 @@ pub fn shutdown_node(admin_addr: SocketAddr, timeout: Duration) -> AireResult<()
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
             Err(e) => return Err(io_err("shutdown ack read", e)),
         }
-        // The shutdown conversation is untagged, so the node's frames
-        // are v1 and the fixed-size header read above is complete.
         let h = frame::decode_header(&header)
             .map_err(|e| AireError::Protocol(format!("bad shutdown frame: {e}")))?;
         let mut payload = vec![0u8; h.payload_len];
@@ -1149,8 +1118,14 @@ pub fn shutdown_node(admin_addr: SocketAddr, timeout: Duration) -> AireResult<()
             hello.kind
         )));
     }
-    let bye = frame::encode_frame(FrameKind::Shutdown, &Jv::Null)
-        .expect("a null shutdown payload is far below the frame cap");
+    let bye = frame::encode_frame(
+        FrameKind::Shutdown,
+        0,
+        frame::NO_SHARD_HINT,
+        frame::NO_TRACE,
+        &Jv::Null,
+    )
+    .expect("a null shutdown payload is far below the frame cap");
     stream
         .write_all(&bye)
         .map_err(|e| AireError::Protocol(format!("shutdown write failed: {e}")))?;

@@ -79,21 +79,40 @@ fn arb_response() -> BoxedStrategy<HttpResponse> {
 //////// Round trips. ////////
 
 proptest! {
+    // `NetStats.bytes` is counted with `framed_*_len`; the wire carries
+    // frames with a real id, hint and trace set. One header size means
+    // the two cannot disagree.
     #[test]
-    fn every_request_shape_survives_framing(req in arb_request()) {
-        let bytes = frame::encode_request(&req).unwrap();
+    fn every_request_shape_survives_framing(
+        req in arb_request(),
+        id in any::<u64>(),
+        hint in any::<u16>(),
+        trace in (any::<u64>(), any::<u64>()),
+    ) {
+        let bytes = frame::encode_frame(FrameKind::Request, id, hint, trace, &req.to_jv()).unwrap();
         prop_assert_eq!(bytes.len(), frame::framed_request_len(&req));
+        prop_assert_eq!(frame::encode_request(&req).unwrap().len(), bytes.len());
         let (fr, used) = frame::decode_frame(&bytes).unwrap();
         prop_assert_eq!(used, bytes.len());
+        prop_assert_eq!((fr.request_id, fr.shard_hint, fr.trace), (id, hint, trace));
         prop_assert_eq!(frame::decode_request(&fr).unwrap(), req);
     }
 
     #[test]
-    fn every_response_shape_survives_framing(resp in arb_response()) {
-        let bytes = frame::encode_response(&resp).unwrap();
+    fn every_response_shape_survives_framing(resp in arb_response(), id in any::<u64>()) {
+        let bytes = frame::encode_frame(
+            FrameKind::Response,
+            id,
+            frame::NO_SHARD_HINT,
+            frame::NO_TRACE,
+            &resp.to_jv(),
+        )
+        .unwrap();
         prop_assert_eq!(bytes.len(), frame::framed_response_len(&resp));
+        prop_assert_eq!(frame::encode_response(&resp).unwrap().len(), bytes.len());
         let (fr, used) = frame::decode_frame(&bytes).unwrap();
         prop_assert_eq!(used, bytes.len());
+        prop_assert_eq!(fr.request_id, id);
         prop_assert_eq!(frame::decode_response(&fr).unwrap(), resp);
     }
 
@@ -146,7 +165,7 @@ proptest! {
     fn oversized_length_declarations_are_rejected(req in arb_request(), extra in 1u32..1_000) {
         let mut bytes = frame::encode_request(&req).unwrap();
         let huge = (MAX_PAYLOAD_LEN as u32).saturating_add(extra);
-        bytes[6..10].copy_from_slice(&huge.to_be_bytes());
+        bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&huge.to_be_bytes());
         let err = frame::decode_header(&bytes).unwrap_err();
         match err {
             FrameError::Oversized { len, max } => {
@@ -166,6 +185,7 @@ proptest! {
         bytes.extend_from_slice(&frame::MAGIC);
         bytes.push(frame::VERSION);
         bytes.push(FrameKind::Request.as_u8());
+        bytes.extend_from_slice(&[0u8; HEADER_LEN - 10]);
         bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         bytes.extend_from_slice(&payload);
         match frame::decode_frame(&bytes) {
@@ -196,10 +216,15 @@ proptest! {
 
 #[test]
 fn header_len_is_the_documented_layout() {
-    let bytes = frame::encode_frame(FrameKind::Hello, &Jv::Null).unwrap();
+    let bytes = frame::encode_frame(FrameKind::Hello, 0x0102, 3, (4, 5), &Jv::Null).unwrap();
     assert_eq!(&bytes[..4], b"AIRE");
     assert_eq!(bytes[4], frame::VERSION);
     assert_eq!(bytes[5], FrameKind::Hello.as_u8());
+    assert_eq!(bytes[6..14], 0x0102u64.to_be_bytes());
+    assert_eq!(bytes[14..16], 3u16.to_be_bytes());
+    assert_eq!(bytes[16..24], 4u64.to_be_bytes());
+    assert_eq!(bytes[24..32], 5u64.to_be_bytes());
+    assert_eq!(bytes[32..36], 4u32.to_be_bytes());
     assert_eq!(bytes.len(), HEADER_LEN + "null".len());
 }
 

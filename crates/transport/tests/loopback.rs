@@ -505,25 +505,29 @@ fn garbage_on_a_parked_connection_is_never_reused() {
         // the dialer's eventual redial is *refused* (a clean
         // unavailable), not left hanging in a dead backlog.
         drop(trap);
-        let hello = frame::encode_frame(
+        let encode = |kind, tag, payload: &aire_types::Jv| {
+            frame::encode_frame(kind, tag, frame::NO_SHARD_HINT, frame::NO_TRACE, payload).unwrap()
+        };
+        let hello = encode(
             frame::FrameKind::Hello,
+            0,
             &aire_transport::Certificate {
                 subject: "echo".into(),
                 serial: 1,
             }
             .to_jv(),
-        )
-        .unwrap();
+        );
         s.write_all(&hello).unwrap();
-        // Answer the first request with a real response frame...
-        let reply = frame::encode_frame(
-            frame::FrameKind::Response,
-            &aire_http::HttpResponse::ok(jv!({"ok": true})).to_jv(),
-        )
-        .unwrap();
-        // (read the request first, crudely)
+        // Answer the first request (read crudely: its header is all the
+        // trap needs, for the id to echo) with a real response frame...
         let mut buf = [0u8; 65536];
-        let _ = std::io::Read::read(&mut s, &mut buf).unwrap();
+        let n = std::io::Read::read(&mut s, &mut buf).unwrap();
+        let tag = frame::decode_header(&buf[..n]).unwrap().request_id;
+        let reply = encode(
+            frame::FrameKind::Response,
+            tag,
+            &aire_http::HttpResponse::ok(jv!({"ok": true})).to_jv(),
+        );
         s.write_all(&reply).unwrap();
         // ...then spew garbage while the connection is parked.
         s.write_all(b"\xFF\xFFgarbage-on-the-wire").unwrap();
@@ -599,33 +603,6 @@ fn restart_with_a_new_identity_behind_a_warm_pool_is_surfaced() {
     // And the cached identity is the one now presented — the dead
     // identity is gone, so §3.1 notify validation rejects honestly.
     assert_eq!(t.certificate().unwrap().subject, "imposter");
-}
-
-/// `without_pool()` preserves the original per-call behaviour exactly:
-/// every call dials, greets, validates, exchanges once, closes.
-#[test]
-fn disabling_the_pool_restores_per_call_dialling() {
-    let server_net = Network::new();
-    let cert = server_net.register("echo", Rc::new(Echo));
-    let server = NodeServer::bind(server_net, "echo", cert, loopback(), loopback()).unwrap();
-    let pumps = Rc::new(MultiPump {
-        servers: vec![server.clone()],
-    });
-    let t = Rc::new(
-        TcpTransport::new("echo", server.data_addr(), server.admin_addr())
-            .with_timeouts(FAST, SLOW)
-            .without_pool(),
-    );
-    t.set_pump(Rc::downgrade(&(pumps.clone() as Rc<dyn Pump>)));
-
-    let req = HttpRequest::get(Url::service("echo", "/x"));
-    for _ in 0..3 {
-        t.call(&req).unwrap();
-    }
-    let stats = t.pool_stats();
-    assert_eq!(stats.dials, 3, "{stats:?}");
-    assert_eq!(stats.reuses, 0, "{stats:?}");
-    assert_eq!(stats.idle, 0, "{stats:?}");
 }
 
 /// A multi-service node routes frames to the named service, greets with

@@ -1,4 +1,4 @@
-//! The pipelined (protocol-v2) dialer under fire: tag-matched replies
+//! The pipelined dialer under fire: tag-matched replies
 //! arriving out of order, connections dying with requests in flight,
 //! garbage interleaved between tagged replies — plus the pool-accounting
 //! and dial-backoff fixes that ride along with the pipelining work.
@@ -21,6 +21,7 @@ use aire_http::{HttpRequest, HttpResponse, Url};
 use aire_transport::chaos::{ChaosProxy, FaultPlan};
 use aire_transport::{
     frame, Certificate, Endpoint, Network, NodeServer, Pump, TcpTransport, Transport,
+    PIPELINE_DEPTH,
 };
 use aire_types::{jv, AireError};
 
@@ -130,27 +131,21 @@ fn call_many_answers_every_request_in_order_over_one_connection() {
     assert!(endpoint.counts.borrow().values().all(|&c| c == 1));
 }
 
+/// The obs registry mirrors the pool counters one for one: a `call_many`
+/// riding a reused connection counts one reuse in both places.
 #[test]
-fn depth_one_forces_sequential_v1_framing_with_identical_results() {
-    let (endpoint, server, _pump_unused, _, _t_unused) = counting_rig("echo", false);
-    let t = Rc::new(
-        TcpTransport::new("echo", server.data_addr(), server.admin_addr())
-            .with_timeouts(FAST, SLOW)
-            .with_pipeline(1),
-    );
-    let pump = Rc::new(ServerPump {
-        server: server.clone(),
-    });
-    t.set_pump(Rc::downgrade(&(pump.clone() as Rc<dyn Pump>)));
-    let reqs: Vec<HttpRequest> = (0..4).map(|i| req("echo", i)).collect();
-    let results = t.call_many(&reqs);
-    for (i, r) in results.iter().enumerate() {
-        assert_eq!(r.as_ref().unwrap().body.str_of("path"), format!("/r{i}"));
-    }
+fn registry_reuse_counter_tracks_pool_stats_across_call_many() {
+    let (_endpoint, _server, _pump, _, t) = counting_rig("echo", false);
+    let registry = std::sync::Arc::new(aire_obs::MetricsRegistry::new());
+    t.set_metrics_registry(registry.clone());
+    t.call(&req("echo", 0)).unwrap();
+    let reqs: Vec<HttpRequest> = (1..4).map(|i| req("echo", i)).collect();
+    assert!(t.call_many(&reqs).iter().all(|r| r.is_ok()));
     let stats = t.pool_stats();
-    assert_eq!(stats.dials, 1, "sequential still pools: {stats:?}");
-    assert_eq!(stats.reuses, 3);
-    assert!(endpoint.counts.borrow().values().all(|&c| c == 1));
+    assert_eq!(stats.dials, 1, "{stats:?}");
+    assert_eq!(stats.reuses, 1, "the batch reused the parked connection");
+    assert_eq!(registry.pool_reuses_total.get(), stats.reuses);
+    assert_eq!(registry.pool_dials_total.get(), stats.dials);
 }
 
 //////// Reply reordering (chaos proxy, frame-aware swap). ////////
@@ -186,12 +181,11 @@ fn cut_with_three_in_flight_never_dispatches_a_request_twice() {
     let (endpoint, server, _pump, proxy, t) = counting_rig("echo", true);
     let proxy = proxy.unwrap();
     let reqs: Vec<HttpRequest> = (0..3).map(|i| req("echo", i)).collect();
-    // Cut the client→server stream exactly after request 0's frame (the
-    // v2 frame is the v1 framed length plus the 8-byte tag): request 0
-    // reaches the server, requests 1 and 2 die on the proxy floor, and
-    // every one of the three had bytes handed to the kernel — so none
-    // may be silently resent by the transport.
-    let cut = frame::framed_request_len(&reqs[0]) + (frame::HEADER_LEN_V2 - frame::HEADER_LEN);
+    // Cut the client→server stream exactly after request 0's frame:
+    // request 0 reaches the server, requests 1 and 2 die on the proxy
+    // floor, and every one of the three had bytes handed to the kernel —
+    // so none may be silently resent by the transport.
+    let cut = frame::framed_request_len(&reqs[0]);
     proxy.plan_next(FaultPlan {
         cut_to_server_after: Some(cut),
         ..FaultPlan::default()
@@ -256,34 +250,39 @@ fn trap_read_frame(stream: &mut TcpStream, buf: &mut Vec<u8>) -> frame::Frame {
 }
 
 fn trap_greet(stream: &mut TcpStream, host: &str) {
-    let hello = frame::encode_frame(
+    let hello = trap_frame(
         frame::FrameKind::Hello,
+        0,
         &Certificate::hello_payload(&[trap_cert(host)]),
-    )
-    .unwrap();
+    );
     stream.write_all(&hello).unwrap();
 }
 
-/// The retry-window invariant, deterministically: with a pipeline depth
-/// of 2 and three requests, the first connection swallows the two
-/// in-flight frames and dies unanswered. Those two had bytes on the
-/// wire, so they fail retryably; request 2 provably never touched the
-/// kernel, so it — alone — continues on exactly one fresh,
+/// A frame the way a server sends it: tagged, no hint, no trace.
+fn trap_frame(kind: frame::FrameKind, tag: u64, payload: &aire_types::Jv) -> Vec<u8> {
+    frame::encode_frame(kind, tag, frame::NO_SHARD_HINT, frame::NO_TRACE, payload).unwrap()
+}
+
+/// The retry-window invariant, deterministically: of `PIPELINE_DEPTH + 1`
+/// requests, the first connection swallows the `PIPELINE_DEPTH` frames
+/// the window lets in flight and dies unanswered. Those had bytes on the
+/// wire, so they fail retryably; the last request provably never touched
+/// the kernel, so it — alone — continues on exactly one fresh,
 /// freshly-greeted connection.
 #[test]
 fn only_provably_unwritten_requests_continue_on_the_single_redial() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let trap = std::thread::spawn(move || {
-        // Connection 1: greet, swallow both in-flight frames, die.
+        // Connection 1: greet, swallow every in-flight frame, die.
         let (mut c1, _) = listener.accept().unwrap();
         c1.set_read_timeout(Some(SLOW)).unwrap();
         trap_greet(&mut c1, "trap");
         let mut buf = Vec::new();
-        let f0 = trap_read_frame(&mut c1, &mut buf);
-        let f1 = trap_read_frame(&mut c1, &mut buf);
-        assert_eq!(f0.request_id, Some(0));
-        assert_eq!(f1.request_id, Some(1));
+        for i in 0..PIPELINE_DEPTH {
+            let fr = trap_read_frame(&mut c1, &mut buf);
+            assert_eq!(fr.request_id, i as u64);
+        }
         drop(c1);
         // Connection 2: greet, answer the survivor by its echoed tag.
         let (mut c2, _) = listener.accept().unwrap();
@@ -291,31 +290,35 @@ fn only_provably_unwritten_requests_continue_on_the_single_redial() {
         trap_greet(&mut c2, "trap");
         let mut buf = Vec::new();
         let fr = trap_read_frame(&mut c2, &mut buf);
-        let tag = fr.request_id.expect("pipelined requests are tagged");
-        assert_eq!(tag, 2, "only the unwritten request may be retried");
+        assert_eq!(
+            fr.request_id, PIPELINE_DEPTH as u64,
+            "only the unwritten request may be retried"
+        );
         let resp = HttpResponse::ok(jv!({"survivor": true}));
-        let reply = frame::encode_frame_v2(frame::FrameKind::Response, tag, &resp.to_jv()).unwrap();
+        let reply = trap_frame(frame::FrameKind::Response, fr.request_id, &resp.to_jv());
         c2.write_all(&reply).unwrap();
         // Hold the connection open until the dialer is done with it.
         let mut chunk = [0u8; 64];
         let _ = c2.read(&mut chunk);
     });
 
-    let t = TcpTransport::new("trap", addr, addr)
-        .with_timeouts(SLOW, SLOW)
-        .with_pipeline(2);
-    let reqs: Vec<HttpRequest> = (0..3).map(|i| req("trap", i)).collect();
+    let t = TcpTransport::new("trap", addr, addr).with_timeouts(SLOW, SLOW);
+    let reqs: Vec<HttpRequest> = (0..=PIPELINE_DEPTH).map(|i| req("trap", i)).collect();
     let results = t.call_many(&reqs);
 
-    for i in [0, 1] {
-        let err = results[i].as_ref().unwrap_err();
+    for (i, r) in results[..PIPELINE_DEPTH].iter().enumerate() {
+        let err = r.as_ref().unwrap_err();
         assert!(
             matches!(err, AireError::ServiceUnavailable(_)),
             "in-flight request {i} must fail retryably: {err}"
         );
     }
     assert_eq!(
-        results[2].as_ref().unwrap().body.get("survivor"),
+        results[PIPELINE_DEPTH]
+            .as_ref()
+            .unwrap()
+            .body
+            .get("survivor"),
         &aire_types::Jv::Bool(true)
     );
     let stats = t.pool_stats();
@@ -325,6 +328,41 @@ fn only_provably_unwritten_requests_continue_on_the_single_redial() {
         stats.validations, 2,
         "the fresh connection is freshly identity-checked"
     );
+    trap.join().unwrap();
+}
+
+/// A single call refuses a reply that echoes some other request's id:
+/// permanent protocol error (the request was *sent*), and the connection
+/// is never pooled.
+#[test]
+fn a_reply_tagged_for_another_request_is_refused_and_never_pooled() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let trap = std::thread::spawn(move || {
+        let (mut c, _) = listener.accept().unwrap();
+        c.set_read_timeout(Some(SLOW)).unwrap();
+        trap_greet(&mut c, "trap");
+        let mut buf = Vec::new();
+        let fr = trap_read_frame(&mut c, &mut buf);
+        let resp = HttpResponse::ok(jv!({"stale": true}));
+        let reply = trap_frame(
+            frame::FrameKind::Response,
+            fr.request_id.wrapping_add(7),
+            &resp.to_jv(),
+        );
+        c.write_all(&reply).unwrap();
+        let mut chunk = [0u8; 64];
+        let _ = c.read(&mut chunk);
+    });
+
+    let t = TcpTransport::new("trap", addr, addr).with_timeouts(SLOW, SLOW);
+    let err = t.call(&req("trap", 0)).unwrap_err();
+    assert!(matches!(err, AireError::Protocol(_)), "{err}");
+    assert!(!err.is_retryable(), "{err}");
+    assert!(err.to_string().contains("tagged"), "{err}");
+    let stats = t.pool_stats();
+    assert_eq!(stats.idle, 0, "a mis-answering connection is never pooled");
+    assert_eq!(stats.dials, 1, "no redial for a protocol error");
     trap.join().unwrap();
 }
 
@@ -343,14 +381,13 @@ fn garbage_between_tagged_replies_poisons_only_what_follows() {
         let mut buf = Vec::new();
         let f0 = trap_read_frame(&mut c, &mut buf);
         let f1 = trap_read_frame(&mut c, &mut buf);
-        let (t0, t1) = (f0.request_id.unwrap(), f1.request_id.unwrap());
+        let (t0, t1) = (f0.request_id, f1.request_id);
         let ok = |tag: u64| {
-            frame::encode_frame_v2(
+            trap_frame(
                 frame::FrameKind::Response,
                 tag,
                 &HttpResponse::ok(jv!({"tag": tag as i64})).to_jv(),
             )
-            .unwrap()
         };
         c.write_all(&ok(t0)).unwrap();
         c.write_all(b"NOT A FRAME").unwrap();
@@ -359,9 +396,7 @@ fn garbage_between_tagged_replies_poisons_only_what_follows() {
         let _ = c.read(&mut chunk);
     });
 
-    let t = TcpTransport::new("trap", addr, addr)
-        .with_timeouts(SLOW, SLOW)
-        .with_pipeline(4);
+    let t = TcpTransport::new("trap", addr, addr).with_timeouts(SLOW, SLOW);
     let reqs: Vec<HttpRequest> = (0..2).map(|i| req("trap", i)).collect();
     let results = t.call_many(&reqs);
 

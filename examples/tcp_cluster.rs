@@ -61,8 +61,7 @@ fn main() {
         None,
         None,
         None,
-        None,
-        None,
+        false,
     )
     .unwrap_or_else(|e| panic!("{e}"));
     println!(

@@ -10,7 +10,7 @@ use std::rc::Rc;
 use aire::client::AdminClient;
 use aire::core::admin::{AdminOp, AdminResponse};
 use aire::core::protocol::{RepairMessage, RepairOp};
-use aire::core::{ControllerConfig, FlushStrategy, RepairMode, SendOutcome, World};
+use aire::core::{RepairMode, SendOutcome, World};
 use aire::http::aire as headers;
 use aire::http::{Headers, HttpRequest, HttpResponse, Status, Url};
 use aire::net::{Endpoint, Network};
@@ -540,25 +540,111 @@ fn capped_settle_whose_final_round_drained_everything_is_quiescent() {
     assert!(report.stuck.is_empty());
 }
 
-/// One full deferred recovery driven through `FlushQueue`, with every
-/// controller configured to the given flush strategy; returns the
-/// per-service digests and the total delivered count.
-fn recovery_with_flush(flush: FlushStrategy) -> (Vec<String>, usize) {
-    let mut world = World::new();
-    let cfg = ControllerConfig {
-        flush,
-        ..ControllerConfig::default()
+//////// One flush path: the batched sweep ≡ per-message sends. ////////
+
+/// Stores whatever it is sent (`h_put`) and accepts every repair.
+struct Store(&'static str);
+
+impl App for Store {
+    fn name(&self) -> &str {
+        self.0
+    }
+    fn schemas(&self) -> Vec<Schema> {
+        vec![Schema::new(
+            "rows",
+            vec![FieldDef::new("v", FieldKind::Str)],
+        )]
+    }
+    fn router(&self) -> Router {
+        Router::new().post("/store", h_put)
+    }
+    fn authorize_repair(&self, _az: &AuthorizeCtx<'_>) -> bool {
+        true
+    }
+}
+
+/// Cross-posts every `/fan` to `sink-a` (and every eighth to `sink-b`),
+/// prefixed with whatever rows `/cfg` (`h_put`) stored — so deleting one
+/// `/cfg` request changes every later cross-post, and the repair queues
+/// one `replace` per call.
+struct Fan;
+
+fn h_fan(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
+    let i = ctx.body_int("i").unwrap_or(0);
+    let prefix: String = ctx
+        .scan("rows", &Filter::all())?
+        .iter()
+        .map(|(_, row)| row.str_of("v"))
+        .collect();
+    let post = |sink: &str| {
+        HttpRequest::post(
+            Url::service(sink, "/store"),
+            jv!({"v": format!("{prefix}{i}")}),
+        )
     };
-    world.add_service_with(Rc::new(aire::apps::OAuthProvider), cfg.clone());
-    world.add_service_with(Rc::new(aire::apps::Askbot), cfg.clone());
-    world.add_service_with(Rc::new(aire::apps::Dpaste), cfg);
-    let facts = askbot_attack::populate(&world, &small());
+    ctx.call(post("sink-a"));
+    if i % 8 == 0 {
+        ctx.call(post("sink-b"));
+    }
+    Ok(HttpResponse::ok(Jv::Null))
+}
+
+impl App for Fan {
+    fn name(&self) -> &str {
+        "fan"
+    }
+    fn schemas(&self) -> Vec<Schema> {
+        vec![Schema::new(
+            "rows",
+            vec![FieldDef::new("v", FieldKind::Str)],
+        )]
+    }
+    fn router(&self) -> Router {
+        Router::new().post("/cfg", h_put).post("/fan", h_fan)
+    }
+    fn authorize_repair(&self, _az: &AuthorizeCtx<'_>) -> bool {
+        true
+    }
+}
+
+/// Messages one `RepairBatch` carrier holds (the controller's
+/// `FLUSH_BATCH`).
+const FLUSH_BATCH: usize = 256;
+/// `/fan` requests in the workload: more than one carrier's worth for
+/// `sink-a`, a fraction of one for `sink-b`.
+const FANS: usize = 300;
+
+/// One deferred recovery of the fan-out world after deleting its `/cfg`
+/// request, with every queue drained either by `FlushQueue` sweeps or
+/// message-by-message through `SendQueued`. Returns the per-service
+/// digests, the delivered count, the carriers the queued `replace`s
+/// should have cost (Σ over sweeps and targets of ⌈n/256⌉), and the
+/// `repair_batches_sent_total` the controllers actually counted.
+fn fan_recovery(batched: bool) -> (Vec<String>, usize, u64, u64) {
+    let mut world = World::new();
+    world.add_service(Rc::new(Fan));
+    world.add_service(Rc::new(Store("sink-a")));
+    world.add_service(Rc::new(Store("sink-b")));
+    let post = |path: &str, body: Jv| {
+        world
+            .deliver(&HttpRequest::post(Url::service("fan", path), body))
+            .unwrap()
+    };
+    let cfg = post("/cfg", jv!({"v": "evil-"}));
+    for i in 0..FANS {
+        assert_eq!(post("/fan", jv!({"i": i as i64})).status, Status::OK);
+    }
     world.set_repair_mode_all(RepairMode::Deferred);
-    let ack = askbot_attack::repair_with(&world, &facts.misconfig_request);
-    assert!(ack.status.is_success(), "repair rejected: {:?}", ack.body);
+    let delete = RepairMessage::bare(RepairOp::Delete {
+        request_id: headers::response_request_id(&cfg).unwrap(),
+    });
+    assert_eq!(
+        world.invoke_repair("fan", delete).unwrap().status,
+        Status::OK
+    );
 
     let services = world.service_names();
-    let mut total_delivered = 0;
+    let (mut total_delivered, mut expected_batches) = (0usize, 0u64);
     loop {
         let mut progressed = 0;
         for s in &services {
@@ -570,13 +656,44 @@ fn recovery_with_flush(flush: FlushStrategy) -> (Vec<String>, usize) {
             progressed += actions;
         }
         for s in &services {
-            let AdminResponse::Flushed {
-                delivered, dropped, ..
-            } = world.invoke_admin(s, AdminOp::FlushQueue).unwrap()
+            let AdminResponse::Queue { entries } =
+                world.invoke_admin(s, AdminOp::ListQueue).unwrap()
             else {
-                panic!("flush response");
+                panic!("queue response");
             };
-            assert_eq!(dropped, 0, "{s}: no repair is undeliverable here");
+            let mut per_target = std::collections::BTreeMap::<&str, usize>::new();
+            for e in &entries {
+                assert!(!e.held, "{s}: nothing needs credentials here");
+                if e.kind != headers::RepairKind::ReplaceResponse {
+                    *per_target.entry(&e.target).or_default() += 1;
+                }
+            }
+            expected_batches += per_target
+                .values()
+                .map(|n| n.div_ceil(FLUSH_BATCH) as u64)
+                .sum::<u64>();
+            let delivered = if batched {
+                let AdminResponse::Flushed {
+                    delivered, dropped, ..
+                } = world.invoke_admin(s, AdminOp::FlushQueue).unwrap()
+                else {
+                    panic!("flush response");
+                };
+                assert_eq!(dropped, 0, "{s}: no repair is undeliverable here");
+                delivered
+            } else {
+                entries
+                    .iter()
+                    .filter(|e| {
+                        let op = AdminOp::SendQueued { msg_id: e.msg_id };
+                        let AdminResponse::Sent { outcome } = world.invoke_admin(s, op).unwrap()
+                        else {
+                            panic!("send response");
+                        };
+                        outcome == SendOutcome::Delivered
+                    })
+                    .count()
+            };
             progressed += delivered;
             total_delivered += delivered;
         }
@@ -586,31 +703,38 @@ fn recovery_with_flush(flush: FlushStrategy) -> (Vec<String>, usize) {
     }
     let digests = services
         .iter()
-        .map(|s| match world.invoke_admin(s, AdminOp::Digest).unwrap() {
-            AdminResponse::Digest { digest } => digest,
-            other => panic!("digest response: {other:?}"),
-        })
+        .map(|s| world.controller(s).state_digest())
         .collect();
-    (digests, total_delivered)
+    let batches = services
+        .iter()
+        .map(|s| {
+            let controller = world.controller(s);
+            controller.obs().registry().repair_batches_sent_total.get()
+        })
+        .sum();
+    (digests, total_delivered, expected_batches, batches)
 }
 
-/// The [`FlushStrategy`] equivalence oracle: sequential, pipelined, and
-/// batched flushes (including a batch size small enough to force
-/// multi-chunk flushes) must deliver the same number of messages and
-/// converge every service to identical digests. Strategies change how
-/// many carriers and round trips a flush costs — never what state it
-/// produces.
+/// The flush-path equivalence oracle: a queue holding more than one
+/// carrier's worth for one target and a partial carrier for another,
+/// drained by `FlushQueue`, must deliver the same number of messages
+/// and converge every service to the same digests as the same queue
+/// drained one `SendQueued` at a time — and must cost exactly
+/// Σ⌈nₜ/256⌉ carriers (10k queued entries ≈ 40 frames).
 #[test]
-fn flush_strategies_produce_identical_recovery() {
-    let (seq, seq_n) = recovery_with_flush(FlushStrategy::Sequential);
-    let (pip, pip_n) = recovery_with_flush(FlushStrategy::Pipelined);
-    let (small_batch, small_n) = recovery_with_flush(FlushStrategy::Batched { batch: 2 });
-    let (big_batch, big_n) = recovery_with_flush(FlushStrategy::Batched { batch: 256 });
-    assert_eq!(seq, pip, "pipelined flush must not drift from sequential");
-    assert_eq!(seq, small_batch, "chunked batches must not drift");
-    assert_eq!(seq, big_batch, "single-carrier batches must not drift");
-    assert_eq!(seq_n, pip_n);
-    assert_eq!(seq_n, small_n);
-    assert_eq!(seq_n, big_n);
-    assert!(seq_n > 0, "the recovery must actually deliver repairs");
+fn batched_flush_matches_per_message_sends_and_chunks_by_target() {
+    let (flushed, flushed_n, expected_batches, batches) = fan_recovery(true);
+    let (sent, sent_n, _, unbatched) = fan_recovery(false);
+    assert_eq!(flushed, sent, "the batched sweep must not drift");
+    assert_eq!(flushed_n, sent_n);
+    assert!(
+        flushed_n >= FANS + FANS / 8,
+        "every cross-post is repaired: {flushed_n}"
+    );
+    assert!(
+        expected_batches >= 3,
+        "sink-a needs two carriers, sink-b one: {expected_batches}"
+    );
+    assert_eq!(batches, expected_batches, "one carrier per 256 per target");
+    assert_eq!(unbatched, 0, "SendQueued never batches");
 }

@@ -24,7 +24,7 @@
 //!
 //! 2. **vkv, value for value.** The versioned kv store *is* sharded, so
 //!    four workers really spread its keys (and their repair traffic,
-//!    routed by request-seq stripe through hinted v3 frames) across
+//!    routed by request-seq stripe through shard-hinted frames) across
 //!    four independent stores. Version *ids* are per-store and may
 //!    differ across worker counts; the §5 user-visible contract — which
 //!    values each key holds, in which order, after an attack's puts are
@@ -62,7 +62,7 @@ fn node(
     cert_serial: Option<u64>,
     workers: usize,
     scope: RepairScope,
-    trace: Option<bool>,
+    trace: bool,
 ) -> SpawnedNode {
     spawn_node(
         &exe(),
@@ -72,7 +72,6 @@ fn node(
         peers,
         180,
         cert_serial,
-        None,
         Some(workers),
         Some(scope),
         trace,
@@ -116,7 +115,7 @@ struct RecoveryOutcome {
 /// One full Figure 4 cluster recovery — including the dpaste
 /// kill/snapshot/resurrect arc — with every daemon at `workers`,
 /// repairing under `scope`.
-fn figure4_recovery(workers: usize, scope: RepairScope, trace: Option<bool>) -> RecoveryOutcome {
+fn figure4_recovery(workers: usize, scope: RepairScope, trace: bool) -> RecoveryOutcome {
     let addrs: Vec<(&str, (SocketAddr, SocketAddr))> = askbot_attack::SERVICES
         .iter()
         .map(|s| (*s, free_addrs()))
@@ -303,12 +302,12 @@ fn reference_digests() -> Vec<String> {
 #[test]
 fn figure4_recovery_is_byte_identical_at_one_and_four_workers() {
     let expected = reference_digests();
-    let one = figure4_recovery(1, RepairScope::Reactive, None);
+    let one = figure4_recovery(1, RepairScope::Reactive, false);
     assert_eq!(
         one.digests, expected,
         "the single-worker cluster must converge to the in-process state"
     );
-    let four = figure4_recovery(4, RepairScope::Reactive, None);
+    let four = figure4_recovery(4, RepairScope::Reactive, false);
     assert_eq!(
         four, one,
         "a 4-worker cluster must be observably identical to a 1-worker cluster"
@@ -322,12 +321,12 @@ fn figure4_recovery_is_byte_identical_at_one_and_four_workers() {
 #[test]
 fn figure4_selective_recovery_is_byte_identical_at_one_and_four_workers() {
     let expected = reference_digests();
-    let one = figure4_recovery(1, RepairScope::Selective, None);
+    let one = figure4_recovery(1, RepairScope::Selective, false);
     assert_eq!(
         one.digests, expected,
         "selective repair must converge to the same state as reactive"
     );
-    let four = figure4_recovery(4, RepairScope::Selective, None);
+    let four = figure4_recovery(4, RepairScope::Selective, false);
     assert_eq!(
         four, one,
         "a 4-worker selective cluster must match the 1-worker run"
@@ -343,12 +342,12 @@ fn figure4_selective_recovery_is_byte_identical_at_one_and_four_workers() {
 #[test]
 fn figure4_recovery_with_tracing_is_digest_identical_to_untraced() {
     let expected = reference_digests();
-    let one = figure4_recovery(1, RepairScope::Reactive, Some(true));
+    let one = figure4_recovery(1, RepairScope::Reactive, true);
     assert_eq!(
         one.digests, expected,
         "tracing must not change what recovery produces"
     );
-    let four = figure4_recovery(4, RepairScope::Reactive, Some(true));
+    let four = figure4_recovery(4, RepairScope::Reactive, true);
     assert_eq!(
         four, one,
         "a traced 4-worker cluster must match the traced 1-worker run"
@@ -373,9 +372,9 @@ struct VkvOutcome {
 
 /// One vkv attack-and-recovery against a daemon at `workers`: populate
 /// a keyspace that spreads across every shard, inject attack puts,
-/// repair-delete them by request id (the carriers cross the wire as
-/// hinted v3 frames when the daemon is sharded), and read back what a
-/// client sees.
+/// repair-delete them by request id (the carriers cross the wire with
+/// shard hints when the daemon is sharded), and read back what a client
+/// sees.
 fn vkv_recovery(workers: usize) -> VkvOutcome {
     let (data, admin_addr) = free_addrs();
     let mut daemon = node(
@@ -386,7 +385,7 @@ fn vkv_recovery(workers: usize) -> VkvOutcome {
         None,
         workers,
         RepairScope::Reactive,
-        None,
+        false,
     );
 
     let mut world = World::new();

@@ -66,18 +66,14 @@ fn node(
         cert_serial,
         None,
         None,
-        None,
-        None,
+        false,
     )
     .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Spawns the full three-service cluster, every node peered with the
-/// other two. `pipeline_depth` is forwarded to every daemon
-/// (`--pipeline-depth`); `Some(1)` pins the whole cluster's
-/// daemon-to-daemon traffic to sequential v1 framing.
-fn spawn_cluster_with(pipeline_depth: Option<usize>) -> Vec<SpawnedNode> {
-    let exe = locate_example("aire_noded").expect("cargo test builds the aire_noded example");
+/// other two.
+fn spawn_cluster() -> Vec<SpawnedNode> {
     let addrs: Vec<(&str, (SocketAddr, SocketAddr))> = askbot_attack::SERVICES
         .iter()
         .map(|s| (*s, free_addrs()))
@@ -90,53 +86,26 @@ fn spawn_cluster_with(pipeline_depth: Option<usize>) -> Vec<SpawnedNode> {
                 .filter(|(p, _)| p != name)
                 .map(|(p, (d, a))| (p.to_string(), *d, *a))
                 .collect();
-            spawn_node(
-                &exe,
-                &[name],
-                *data,
-                *admin,
-                &peers,
-                180,
-                None,
-                pipeline_depth,
-                None,
-                None,
-                None,
-            )
-            .unwrap_or_else(|e| panic!("{e}"))
+            node(&[name], *data, *admin, &peers, None)
         })
         .collect()
 }
 
-fn spawn_cluster() -> Vec<SpawnedNode> {
-    spawn_cluster_with(None)
-}
-
 /// A driver-side world whose services all live in the given daemons;
 /// the pooled transports are returned too, so tests can assert against
-/// their [`aire::transport::PoolStats`]. `pipeline_depth` pins the
-/// *driver's* dialers (`Some(1)` = sequential v1 framing).
-fn remote_world_with(
-    nodes: &[SpawnedNode],
-    pipeline_depth: Option<usize>,
-) -> (World, BTreeMap<String, Rc<TcpTransport>>) {
+/// their [`aire::transport::PoolStats`].
+fn remote_world(nodes: &[SpawnedNode]) -> (World, BTreeMap<String, Rc<TcpTransport>>) {
     let mut world = World::new();
     let mut transports = BTreeMap::new();
     for node in nodes {
-        let mut t = TcpTransport::new(node.name.clone(), node.data, node.admin)
-            .with_timeouts(Duration::from_millis(500), Duration::from_secs(30));
-        if let Some(depth) = pipeline_depth {
-            t = t.with_pipeline(depth);
-        }
-        let t = Rc::new(t);
+        let t = Rc::new(
+            TcpTransport::new(node.name.clone(), node.data, node.admin)
+                .with_timeouts(Duration::from_millis(500), Duration::from_secs(30)),
+        );
         world.add_remote(node.name.clone(), t.clone());
         transports.insert(node.name.clone(), t);
     }
     (world, transports)
-}
-
-fn remote_world(nodes: &[SpawnedNode]) -> (World, BTreeMap<String, Rc<TcpTransport>>) {
-    remote_world_with(nodes, None)
 }
 
 fn small() -> AskbotWorkload {
@@ -379,55 +348,6 @@ fn tcp_cluster_askbot_recovery_matches_the_in_process_run() {
             .unwrap_or_else(|e| panic!("shutting down {}: {e}", node.name));
         node.wait_success().unwrap();
     }
-}
-
-/// One full cluster recovery, every daemon and the driver pinned to the
-/// given pipeline depth, returning the per-service digests.
-fn cluster_recovery_digests(pipeline_depth: Option<usize>) -> Vec<String> {
-    let mut nodes = spawn_cluster_with(pipeline_depth);
-    let (world, transports) = remote_world_with(&nodes, pipeline_depth);
-    let facts = askbot_attack::populate(&world, &small());
-    world.set_repair_mode_all(RepairMode::Deferred);
-    let ack = askbot_attack::repair_with(&world, &facts.misconfig_request);
-    assert!(ack.status.is_success(), "repair rejected: {:?}", ack.body);
-    let settle = world.settle();
-    assert!(settle.quiescent(), "cluster must quiesce: {settle:?}");
-    let digests = digests(&world);
-    assert!(
-        !askbot_attack::askbot_titles(&world)
-            .iter()
-            .any(|t| t.contains("FREE BITCOIN")),
-        "recovery must remove the attack (depth {pipeline_depth:?})"
-    );
-    // Both framings ride pooled connections, not per-call dials.
-    let pool = transports["askbot"].pool_stats();
-    assert!(pool.reuses > pool.dials, "{pool:?}");
-    for node in &mut nodes {
-        shutdown_node(node.admin, Duration::from_secs(5))
-            .unwrap_or_else(|e| panic!("shutting down {}: {e}", node.name));
-        node.wait_success().unwrap();
-    }
-    digests
-}
-
-/// The framing-compatibility oracle: the same Figure 4 recovery, run
-/// once over sequential v1 frames (`--pipeline-depth 1` on every daemon
-/// and the driver) and once over pipelined v2 frames (the default), must
-/// converge to digest-identical state — and both must equal the
-/// in-process run. Framing changes how many frames and round trips the
-/// recovery costs, never what state it produces.
-#[test]
-fn figure4_recovery_digests_identical_under_v1_and_v2_framing() {
-    let reference = askbot_attack::setup(&small());
-    reference.world.set_repair_mode_all(RepairMode::Deferred);
-    askbot_attack::repair(&reference);
-    assert!(reference.world.settle().quiescent());
-    let expected = digests(&reference.world);
-
-    let v1 = cluster_recovery_digests(Some(1));
-    assert_eq!(v1, expected, "v1 framing must converge to the reference");
-    let v2 = cluster_recovery_digests(None);
-    assert_eq!(v2, expected, "v2 framing must converge to the reference");
 }
 
 /// Figure 4 again, but with every fault kind the pool must survive
