@@ -371,14 +371,13 @@ impl AireClient {
                 format!("unknown response {response_id}"),
             );
         };
-        let old = inner.calls[pos].response.clone();
-        if old.canonical() == new_response.canonical() {
+        if inner.calls[pos].response.canonical_eq(&new_response) {
             return HttpResponse::ok(jv!({"aire": "noop"}));
         }
         if let Some(rid) = aire::response_request_id(&new_response) {
             inner.calls[pos].remote_request_id = Some(rid);
         }
-        inner.calls[pos].response = new_response.clone();
+        let old = std::mem::replace(&mut inner.calls[pos].response, new_response.clone());
         inner.calls[pos].repaired = true;
         inner.events.push(ClientEvent::ResponseRepaired {
             response_id: response_id.clone(),

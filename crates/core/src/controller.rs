@@ -1198,7 +1198,7 @@ impl Controller {
             .log
             .at_mut(time)
             .expect("call index points at a record");
-        let unchanged = record.calls[call_pos].response.canonical() == new_response.canonical();
+        let unchanged = record.calls[call_pos].response.canonical_eq(new_response);
         record.calls[call_pos].response = new_response.clone();
         if let Some(rid) = aire::response_request_id(new_response) {
             record.calls[call_pos].remote_request_id = Some(rid);

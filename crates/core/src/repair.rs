@@ -22,8 +22,17 @@
 //!   back, re-written, and taint the future; call plans become
 //!   `replace`/`create`/`delete` messages; a changed response becomes a
 //!   `replace_response` when the client left a notifier URL.
+//!
+//! A pass is meant to cost what its re-executions cost. The engine
+//! *owns* the record it is working on: [`RepairLog::take`] hands the
+//! original out of the log, the replay borrows it, the new record is
+//! built from moved parts, and [`RepairLog::replace`] archives the old
+//! one and re-indexes by difference — nothing is deep-copied on the way,
+//! and the old and new responses are compared (by reference) only for a
+//! client that can actually be sent a `replace_response`.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::time::Instant;
 
 use aire_http::{aire, HttpRequest, HttpResponse, Status};
@@ -217,6 +226,13 @@ impl<'a> RepairEngine<'a> {
         // whatever the agenda never touches was skipped — the savings
         // selective re-execution exists to create.
         let candidates = self.state.log.actions().filter(|a| !a.is_deleted()).count();
+        // Seed the fresh-id pools from the store's allocator tops, once
+        // per pass, so divergent inserts cannot collide with existing rows.
+        for table in self.state.store.table_names() {
+            let next = self.state.store.peek_next_id(table).unwrap_or(1_000_000);
+            self.fresh_ids
+                .insert(table.to_string(), next.saturating_sub(1));
+        }
         let mut processed = 0;
         let mut last_time = LogicalTime::ZERO;
         while let Some((&time, _)) = self.agenda.iter().next() {
@@ -226,14 +242,16 @@ impl<'a> RepairEngine<'a> {
             self.process(time, plan);
             processed += 1;
         }
+        let elapsed = started.elapsed();
         if let Some(obs) = self.state.obs {
             let reg = obs.registry();
             reg.repair_ops_reexecuted_total.add(processed as u64);
             reg.repair_ops_skipped_total
                 .add(candidates.saturating_sub(processed) as u64);
+            reg.repair_pass_micros.observe(elapsed.as_micros() as u64);
         }
         self.state.stats.repaired_requests += processed as u64;
-        self.state.stats.repair_wall += started.elapsed();
+        self.state.stats.repair_wall += elapsed;
         self.state.stats.repair_passes += 1;
         processed
     }
@@ -246,19 +264,28 @@ impl<'a> RepairEngine<'a> {
         }
     }
 
+    /// Takes the record at `time` out of the log: the engine owns it
+    /// while it is skipped or re-executed, and every path hands it back
+    /// (`put_back` unchanged, `replace` superseded). A tombstone is not
+    /// repaired again, so it goes straight back.
+    fn take_live(&mut self, time: LogicalTime) -> Option<ActionRecord> {
+        let record = self.state.log.take(time)?;
+        if record.is_deleted() {
+            self.state.log.put_back(record);
+            return None;
+        }
+        Some(record)
+    }
+
     //////// Skip (delete). ////////
 
     fn process_skip(&mut self, time: LogicalTime) {
-        let Some(record) = self.state.log.at(time).cloned() else {
+        let Some(record) = self.take_live(time) else {
             return;
         };
-        if record.is_deleted() {
-            return;
-        }
         // Roll back everything the action wrote and taint the future.
-        let writes = final_writes(&record.db_ops);
-        for (key, after) in &writes {
-            self.rollback_and_taint(key, time, after.clone());
+        for (key, after) in final_writes(&record.db_ops) {
+            self.rollback_and_taint(&key, time, after);
         }
         // Cancel the action's conversation with every remote it called.
         for call in &record.calls {
@@ -272,28 +299,26 @@ impl<'a> RepairEngine<'a> {
                 new_payload: None,
             });
         }
-        // Keep the record, marked deleted, so later repairs can name it.
-        let mut tombstone = record;
+        // Keep the record, marked deleted, so later repairs can name it;
+        // the live version goes to the archive like any superseded one.
+        let mut tombstone = record.clone();
         tombstone.status = ActionStatus::Deleted;
-        self.state.log.replace(tombstone);
+        self.state.log.replace(record, tombstone);
     }
 
     //////// Re-execution. ////////
 
     fn process_reexec(&mut self, time: LogicalTime, request_override: Option<HttpRequest>) {
-        let Some(original) = self.state.log.at(time).cloned() else {
+        let Some(original) = self.take_live(time) else {
             return;
         };
-        if original.is_deleted() {
-            return;
-        }
         // A replaced request's client holds a tentative timeout response
         // (§3.2); force a replace_response even if re-execution produced
         // the same payload as the original run.
         let force_response_repair = request_override.is_some();
         let request = request_override.unwrap_or_else(|| original.request.clone());
         let id = original.id.clone();
-        self.execute_at(time, id, request, Some(&original), force_response_repair);
+        self.execute_at(time, id, request, Some(original), force_response_repair);
     }
 
     fn process_create(&mut self, time: LogicalTime, id: RequestId, request: HttpRequest) {
@@ -302,37 +327,24 @@ impl<'a> RepairEngine<'a> {
 
     /// Runs the handler for `request` as of `time`, then reconciles the
     /// outcome with `original` (if any): write diffs, call plans,
-    /// response repair, compensation, log update.
+    /// response repair, compensation, log update. `original` is the
+    /// record itself, out of the log while this runs; it ends in the
+    /// archive.
     fn execute_at(
         &mut self,
         time: LogicalTime,
         id: RequestId,
         request: HttpRequest,
-        original: Option<&ActionRecord>,
+        original: Option<ActionRecord>,
         force_response_repair: bool,
     ) {
-        // Seed the fresh-id pools from the store's allocator tops so
-        // divergent inserts cannot collide with existing rows.
-        let tables: Vec<String> = self
-            .state
-            .store
-            .table_names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        for table in tables {
-            if !self.fresh_ids.contains_key(&table) {
-                let next = self.state.store.peek_next_id(&table).unwrap_or(1_000_000);
-                self.fresh_ids.insert(table, next.saturating_sub(1));
-            }
-        }
-
-        let (response, trace, call_plans, unconsumed) = {
+        let started = Instant::now();
+        let (mut response, trace, call_plans, unconsumed) = {
             let mut rt = ReplayRuntime::new(
                 self.state.service,
                 self.state.store,
                 time,
-                original,
+                original.as_ref(),
                 self.state.next_response_seq.reborrow(),
                 &mut self.fresh_ids,
             );
@@ -346,13 +358,13 @@ impl<'a> RepairEngine<'a> {
                 }
                 None => HttpResponse::error(Status::NOT_FOUND, "no route"),
             };
-            let unconsumed: Vec<CallRecord> = rt.unconsumed_calls().into_iter().cloned().collect();
+            let unconsumed = rt.unconsumed_calls();
             (response, rt.trace, rt.call_plans, unconsumed)
         };
         self.state.stats.repaired_db_ops += trace.db_ops.len() as u64;
 
         // Reconcile writes with the original execution.
-        self.flush_writes(time, original, &trace);
+        self.flush_writes(time, original.as_ref(), &trace);
 
         // Plan repair messages for changed / new / missing calls.
         for (call, plan) in trace.calls.iter().zip(&call_plans) {
@@ -362,37 +374,32 @@ impl<'a> RepairEngine<'a> {
                 CallPlan::New => self.plan_create_call(time, call),
             }
         }
-        for call in &unconsumed {
+        for call in unconsumed {
             self.plan_cancel_call(call);
         }
 
         // Compensate changed external outputs.
-        self.diff_externals(original, &trace);
+        self.diff_externals(original.as_ref(), &trace);
 
         // Update the log in place (repair-of-repaired-requests, §2.2).
-        let mut tagged_response = response.clone();
-        aire::tag_response(&mut tagged_response, &id);
+        aire::tag_response(&mut response, &id);
         let new_record = build_record(
             id,
             time,
             request,
-            tagged_response,
+            response,
             trace,
-            original.map(|o| o.created_by_repair).unwrap_or(true),
+            original.as_ref().is_none_or(|o| o.created_by_repair),
         );
-        // Repair the response when it changed — or unconditionally for
-        // replaced/created requests, whose client holds a tentative
-        // timeout response (§3.2).
-        let response_changed = original
-            .map(|o| o.response.canonical() != new_record.response.canonical())
-            .unwrap_or(false);
-        if force_response_repair || response_changed {
-            self.plan_replace_response(&new_record);
+        self.plan_replace_response(&new_record, original.as_ref(), force_response_repair);
+        match original {
+            Some(old) => self.state.log.replace(old, new_record),
+            None => self.state.log.record(new_record),
         }
-        if original.is_some() {
-            self.state.log.replace(new_record);
-        } else {
-            self.state.log.record(new_record);
+        if let Some(obs) = self.state.obs {
+            obs.registry()
+                .repair_reexec_micros
+                .observe(started.elapsed().as_micros() as u64);
         }
     }
 
@@ -597,25 +604,21 @@ impl<'a> RepairEngine<'a> {
 
     fn plan_create_call(&mut self, time: LogicalTime, call: &CallRecord) {
         // Relative positioning (§3.1): our last exchanged request with the
-        // target before `time`, and our first after it.
+        // target before `time`, and our first after it — searched outward
+        // from `time`, so the nearest call on each side ends the search
+        // however long the history is.
         let target = call.target();
-        let mut before_id = None;
-        let mut after_id = None;
-        for action in self.state.log.actions() {
-            for c in &action.calls {
-                if c.target() != target {
-                    continue;
-                }
-                let Some(rid) = c.remote_request_id.clone() else {
-                    continue;
-                };
-                if action.time < time {
-                    before_id = Some(rid);
-                } else if action.time > time && after_id.is_none() {
-                    after_id = Some(rid);
-                }
-            }
-        }
+        let to_target = |c: &&CallRecord| c.target() == target && c.remote_request_id.is_some();
+        let log = &*self.state.log;
+        let before_id = log
+            .range(..time)
+            .rev()
+            .find_map(|a| a.calls.iter().rev().find(to_target))
+            .and_then(|c| c.remote_request_id.clone());
+        let after_id = log
+            .range((Bound::Excluded(time), Bound::Unbounded))
+            .find_map(|a| a.calls.iter().find(to_target))
+            .and_then(|c| c.remote_request_id.clone());
         let op = RepairOp::Create {
             request: call.request.clone(),
             before_id,
@@ -652,17 +655,30 @@ impl<'a> RepairEngine<'a> {
         }
     }
 
-    fn plan_replace_response(&mut self, record: &ActionRecord) {
-        let (Some(response_id), Some(notifier)) = (
-            record.client_response_id.clone(),
-            record.notifier_url.clone(),
-        ) else {
+    /// Repairs `record`'s response when it changed — or unconditionally
+    /// (`force`) for replaced/created requests, whose client holds a
+    /// tentative timeout response (§3.2). Only a client that left a
+    /// response id and a notifier URL can be told, so only then are the
+    /// two responses compared at all.
+    fn plan_replace_response(
+        &mut self,
+        record: &ActionRecord,
+        original: Option<&ActionRecord>,
+        force: bool,
+    ) {
+        let (Some(response_id), Some(notifier)) =
+            (&record.client_response_id, &record.notifier_url)
+        else {
             // Browser clients carry no notifier URL; their responses are
             // not repairable (§8.2) and no message is sent.
             return;
         };
+        let changed = original.is_some_and(|o| !o.response.canonical_eq(&record.response));
+        if !(force || changed) {
+            return;
+        }
         let op = RepairOp::ReplaceResponse {
-            response_id,
+            response_id: response_id.clone(),
             new_response: record.response.clone(),
         };
         self.enqueue_outgoing(

@@ -223,7 +223,7 @@ pub enum CallPlan {
 }
 
 /// The replaying runtime: local repair re-execution (§3.2).
-pub struct ReplayRuntime<'a> {
+pub struct ReplayRuntime<'a, 'o> {
     /// This service's name.
     pub service: &'a ServiceName,
     /// The versioned store (read-only here; the engine flushes writes).
@@ -231,8 +231,10 @@ pub struct ReplayRuntime<'a> {
     /// The action's original logical time.
     pub time: LogicalTime,
     /// The recorded execution being replayed (`None` for a `create`d
-    /// request that has no original).
-    pub original: Option<&'a ActionRecord>,
+    /// request that has no original). Its own lifetime: the repair
+    /// engine holds the record out of the log and keeps reading it after
+    /// the runtime's borrows of the store and allocators end.
+    pub original: Option<&'o ActionRecord>,
     /// Allocator for response ids of *new* outgoing calls.
     pub next_response_seq: ResponseSeqs<'a>,
     /// Row-id allocator state for fresh (unrecorded) inserts.
@@ -251,17 +253,17 @@ pub struct ReplayRuntime<'a> {
     fresh_rng: DetRng,
 }
 
-impl<'a> ReplayRuntime<'a> {
+impl<'a, 'o> ReplayRuntime<'a, 'o> {
     /// Creates a replay runtime for `original` (or a fresh execution for
     /// a created request).
     pub fn new(
         service: &'a ServiceName,
         store: &'a VersionedStore,
         time: LogicalTime,
-        original: Option<&'a ActionRecord>,
+        original: Option<&'o ActionRecord>,
         next_response_seq: ResponseSeqs<'a>,
         fresh_ids: &'a mut BTreeMap<String, u64>,
-    ) -> ReplayRuntime<'a> {
+    ) -> ReplayRuntime<'a, 'o> {
         let n_calls = original.map(|o| o.calls.len()).unwrap_or(0);
         let fallback_clock = original
             .and_then(|o| o.nondet.times.last().copied())
@@ -288,7 +290,7 @@ impl<'a> ReplayRuntime<'a> {
 
     /// The recorded calls the re-execution did *not* re-issue; the engine
     /// queues `delete` for them (§3.2).
-    pub fn unconsumed_calls(&self) -> Vec<&'a CallRecord> {
+    pub fn unconsumed_calls(&self) -> Vec<&'o CallRecord> {
         let Some(original) = self.original else {
             return Vec::new();
         };
@@ -318,12 +320,17 @@ impl<'a> ReplayRuntime<'a> {
     }
 
     fn effective_scan(&self, table: &str, filter: &Filter) -> Result<Vec<(u64, Jv)>, StoreError> {
-        let mut rows: BTreeMap<u64, Jv> = self
+        let visible = self
             .store
             .scan_before(table, filter, self.time)?
             .into_iter()
-            .map(|(id, v)| (id, v.clone()))
-            .collect();
+            .map(|(id, v)| (id, v.clone()));
+        // The store answers in id order already; only a buffered write
+        // to this table needs the rows keyed for the overlay.
+        if !self.buffer.keys().any(|key| key.table == table) {
+            return Ok(visible.collect());
+        }
+        let mut rows: BTreeMap<u64, Jv> = visible.collect();
         for (key, value) in &self.buffer {
             if key.table != table {
                 continue;
@@ -395,7 +402,7 @@ impl<'a> ReplayRuntime<'a> {
     }
 }
 
-impl Runtime for ReplayRuntime<'_> {
+impl Runtime for ReplayRuntime<'_, '_> {
     fn db_get(&mut self, table: &str, id: u64) -> Result<Option<Jv>, StoreError> {
         let value = self.effective_get(table, id)?;
         let at = if self.buffer.contains_key(&RowKey::new(table, id)) {
@@ -481,14 +488,11 @@ impl Runtime for ReplayRuntime<'_> {
 
     fn http_call(&mut self, mut req: HttpRequest) -> HttpResponse {
         let target = req.url.host.clone();
-        let canonical = req.canonical();
         // First: an unconsumed recorded call to the same target with the
         // same canonical content → answered from the log.
         if let Some(original) = self.original {
             let exact = original.calls.iter().enumerate().find(|(i, call)| {
-                !self.consumed[*i]
-                    && call.target() == target
-                    && call.request.canonical() == canonical
+                !self.consumed[*i] && call.target() == target && call.request.canonical_eq(&req)
             });
             if let Some((i, call)) = exact {
                 self.consumed[i] = true;

@@ -40,10 +40,12 @@ pub const REPAIR_TOKEN: &str = "Aire-Repair-Token";
 /// Marks the tentative timeout response substituted during local repair.
 pub const TENTATIVE: &str = "Aire-Tentative";
 
-/// True for headers owned by the Aire plumbing (stripped by canonical
+/// True for headers owned by the Aire plumbing (ignored by canonical
 /// comparison).
 pub fn is_aire_header(name: &str) -> bool {
-    name.to_ascii_lowercase().starts_with("aire-")
+    name.as_bytes()
+        .get(..5)
+        .is_some_and(|prefix| prefix.eq_ignore_ascii_case(b"aire-"))
 }
 
 /// The four repair operations of Table 1, as carried by the [`REPAIR`]

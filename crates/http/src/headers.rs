@@ -61,16 +61,13 @@ impl Headers {
         self.map.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
-    /// Returns a copy with every header whose name matches `pred` removed.
-    pub fn without_matching(&self, pred: impl Fn(&str) -> bool) -> Headers {
-        Headers {
-            map: self
-                .map
-                .iter()
-                .filter(|(k, _)| !pred(k))
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        }
+    /// True when `self` and `other` hold the same headers once every
+    /// name matching `ignore` is left out of both — a borrowing
+    /// comparison, nothing is copied.
+    pub fn eq_ignoring(&self, other: &Headers, ignore: impl Fn(&str) -> bool) -> bool {
+        let mine = self.map.iter().filter(|(k, _)| !ignore(k));
+        let theirs = other.map.iter().filter(|(k, _)| !ignore(k));
+        mine.eq(theirs)
     }
 
     /// Approximate wire length in bytes (`Name: value\r\n` per header).
@@ -148,14 +145,21 @@ mod tests {
     }
 
     #[test]
-    fn without_matching_filters() {
-        let h = Headers::new()
+    fn eq_ignoring_compares_only_the_kept_headers() {
+        let aire = |name: &str| name.starts_with("aire-");
+        let a = Headers::new()
             .with("Aire-Request-Id", "x/Q1")
+            .with("Content-Type", "application/json");
+        let b = Headers::new()
+            .with("Aire-Request-Id", "x/Q2")
             .with("Aire-Repair", "delete")
             .with("Content-Type", "application/json");
-        let stripped = h.without_matching(|name| name.starts_with("aire-"));
-        assert_eq!(stripped.len(), 1);
-        assert!(stripped.contains("content-type"));
+        assert_ne!(a, b);
+        assert!(a.eq_ignoring(&b, aire));
+        // A kept header that differs, or is missing on one side, counts.
+        assert!(!a.eq_ignoring(&b.clone().with("Content-Type", "text/plain"), aire));
+        assert!(!a.eq_ignoring(&b.clone().with("Cookie", "s=1"), aire));
+        assert!(!a.eq_ignoring(&b, |_| false));
     }
 
     #[test]

@@ -58,18 +58,20 @@ impl HttpRequest {
         self
     }
 
-    /// The request stripped of volatile `Aire-*` headers.
+    /// True when `other` is the same logical request: method, URL, body
+    /// and every header except the volatile `Aire-*` ones agree.
     ///
     /// Two executions of the same logical request carry different Aire
-    /// identifiers; the repair controller compares canonical forms to
-    /// decide whether a re-executed outgoing call diverged (§3.2).
-    pub fn canonical(&self) -> HttpRequest {
-        HttpRequest {
-            method: self.method,
-            url: self.url.clone(),
-            headers: self.headers.without_matching(crate::aire::is_aire_header),
-            body: self.body.clone(),
-        }
+    /// identifiers; the repair controller compares this way — by
+    /// reference, copying nothing — to decide whether a re-executed
+    /// outgoing call diverged (§3.2).
+    pub fn canonical_eq(&self, other: &HttpRequest) -> bool {
+        self.method == other.method
+            && self.url == other.url
+            && self
+                .headers
+                .eq_ignoring(&other.headers, crate::aire::is_aire_header)
+            && self.body == other.body
     }
 
     /// Approximate wire size in bytes (request line + headers + body).
@@ -179,14 +181,15 @@ impl HttpResponse {
         self
     }
 
-    /// The response stripped of volatile `Aire-*` headers (see
-    /// [`HttpRequest::canonical`]).
-    pub fn canonical(&self) -> HttpResponse {
-        HttpResponse {
-            status: self.status,
-            headers: self.headers.without_matching(crate::aire::is_aire_header),
-            body: self.body.clone(),
-        }
+    /// True when `other` is the same logical response: status, body and
+    /// every header except the volatile `Aire-*` ones agree (see
+    /// [`HttpRequest::canonical_eq`]).
+    pub fn canonical_eq(&self, other: &HttpResponse) -> bool {
+        self.status == other.status
+            && self
+                .headers
+                .eq_ignoring(&other.headers, crate::aire::is_aire_header)
+            && self.body == other.body
     }
 
     /// Approximate wire size in bytes.
@@ -265,16 +268,35 @@ mod tests {
     }
 
     #[test]
-    fn canonical_strips_aire_headers_only() {
+    fn canonical_eq_ignores_aire_headers_only() {
         let r = sample_request();
-        let c = r.canonical();
-        assert!(c.headers.contains("cookie"));
-        assert!(!c.headers.contains("aire-response-id"));
         // Two requests differing only in Aire ids compare equal canonically.
         let mut r2 = sample_request();
         r2.headers.set("Aire-Response-Id", "askbot/R99");
+        r2.headers
+            .set("Aire-Notifier-Url", "https://askbot/aire/notify");
         assert_ne!(r, r2);
-        assert_eq!(r.canonical(), r2.canonical());
+        assert!(r.canonical_eq(&r2));
+        // Anything else that differs is a different request.
+        assert!(!r.canonical_eq(&r2.clone().with_header("Cookie", "sessionid=xyz")));
+        assert!(!r.canonical_eq(&r2.clone().with_body(jv!({"title": "Why?"}))));
+        let mut other_url = r2.clone();
+        other_url.url = Url::parse("https://askbot/questions/old").unwrap();
+        assert!(!r.canonical_eq(&other_url));
+        let mut other_method = r2;
+        other_method.method = Method::Get;
+        assert!(!r.canonical_eq(&other_method));
+    }
+
+    #[test]
+    fn response_canonical_eq_ignores_aire_headers_only() {
+        let a = HttpResponse::ok(jv!({"id": 7})).with_header("Aire-Request-Id", "askbot/Q9");
+        let b = HttpResponse::ok(jv!({"id": 7})).with_header("Aire-Request-Id", "askbot/Q10");
+        assert_ne!(a, b);
+        assert!(a.canonical_eq(&b));
+        assert!(!a.canonical_eq(&HttpResponse::ok(jv!({"id": 8}))));
+        assert!(!a.canonical_eq(&HttpResponse::new(Status::NOT_FOUND, jv!({"id": 7}))));
+        assert!(!a.canonical_eq(&b.with_header("Set-Cookie", "s=1")));
     }
 
     #[test]

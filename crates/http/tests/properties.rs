@@ -79,17 +79,22 @@ proptest! {
         }
     }
 
-    /// `canonical()` strips exactly the Aire headers and nothing else.
+    /// `canonical_eq` ignores exactly the Aire headers and nothing else.
     #[test]
-    fn prop_canonical_strips_only_aire(extra in "[a-z]{1,10}") {
-        let req = HttpRequest::get(Url::service("s", "/x"))
-            .with_header("Aire-Request-Id", "s/Q1")
-            .with_header("Aire-Notifier-Url", "https://c/aire/notify")
+    fn prop_canonical_eq_ignores_only_aire(extra in "[a-z]{1,10}") {
+        let plain = HttpRequest::get(Url::service("s", "/x"))
             .with_header(&format!("x-{extra}"), "kept");
-        let canon = req.canonical();
-        prop_assert!(!canon.headers.contains("Aire-Request-Id"));
-        prop_assert!(!canon.headers.contains("Aire-Notifier-Url"));
-        prop_assert_eq!(canon.headers.get(&format!("x-{extra}")), Some("kept"));
+        let tagged = plain
+            .clone()
+            .with_header("Aire-Request-Id", "s/Q1")
+            .with_header("Aire-Notifier-Url", "https://c/aire/notify");
+        prop_assert!(tagged.canonical_eq(&plain));
+        prop_assert!(plain.canonical_eq(&tagged));
+        let changed = tagged.clone().with_header(&format!("x-{extra}"), "changed");
+        prop_assert!(!changed.canonical_eq(&plain));
+        let mut dropped = tagged;
+        dropped.headers.remove(&format!("x-{extra}"));
+        prop_assert!(!dropped.canonical_eq(&plain));
     }
 }
 

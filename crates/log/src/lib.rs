@@ -76,21 +76,47 @@ impl RepairLog {
         self.actions.insert(action.time, action);
     }
 
+    /// Takes the record at `time` out of the log for the duration of its
+    /// own re-execution: the repair engine owns it while the handler
+    /// runs, so nothing of it is copied. The derived state (postings,
+    /// edges, id and call indexes) keeps naming the action; the caller
+    /// must hand the record back — unchanged through
+    /// [`RepairLog::put_back`], or superseded through
+    /// [`RepairLog::replace`] — before anything else reads the log by
+    /// time or id.
+    pub fn take(&mut self, time: LogicalTime) -> Option<ActionRecord> {
+        self.actions.remove(&time)
+    }
+
+    /// Returns a record obtained from [`RepairLog::take`] exactly as it
+    /// was taken.
+    pub fn put_back(&mut self, record: ActionRecord) {
+        let displaced = self.actions.insert(record.time, record);
+        assert!(displaced.is_none(), "put_back over a live record");
+    }
+
     /// Replaces the record of an action after re-execution (repair updates
     /// its log "just like it does during normal operation, so that a
     /// future repair can perform recovery on an already repaired request",
-    /// §2.2). The superseded record is archived.
-    pub fn replace(&mut self, action: ActionRecord) {
-        let Some(old) = self.actions.remove(&action.time) else {
-            self.record(action);
-            return;
-        };
-        self.unindex(&old);
-        self.by_id.remove(&old.id);
+    /// §2.2). `old` is the record [`RepairLog::take`] returned for the
+    /// same time; it moves into the archive.
+    ///
+    /// The derived state is re-indexed *by difference*: only what `old`
+    /// and `new` do not share is touched, so a re-execution that read and
+    /// wrote the same rows costs no index traffic at all.
+    pub fn replace(&mut self, old: ActionRecord, new: ActionRecord) {
+        assert_eq!(old.time, new.time, "replace must keep the action's time");
+        assert!(
+            !self.actions.contains_key(&new.time),
+            "replace needs the old record taken out first"
+        );
+        self.reindex(&old, &new);
+        if old.id != new.id {
+            self.by_id.remove(&old.id);
+            self.by_id.insert(new.id.clone(), new.time);
+        }
         self.archive.push(old);
-        self.index(&action);
-        self.by_id.insert(action.id.clone(), action.time);
-        self.actions.insert(action.time, action);
+        self.actions.insert(new.time, new);
     }
 
     /// Looks up an action by the id the service assigned to it.
@@ -117,6 +143,15 @@ impl RepairLog {
     /// All actions in time order.
     pub fn actions(&self) -> impl Iterator<Item = &ActionRecord> {
         self.actions.values()
+    }
+
+    /// The actions whose execution time falls in `range`, in time order
+    /// (reversible, so a caller can search outward from a point).
+    pub fn range(
+        &self,
+        range: impl std::ops::RangeBounds<LogicalTime>,
+    ) -> impl DoubleEndedIterator<Item = &ActionRecord> {
+        self.actions.range(range).map(|(_, a)| a)
     }
 
     /// Number of recorded actions (live, not archived).
@@ -357,23 +392,6 @@ impl RepairLog {
     }
 
     fn unindex(&mut self, action: &ActionRecord) {
-        // Emptied postings are removed outright (not left as empty sets):
-        // the maps are keyed by row/table, so a leaked empty entry pins
-        // the key's memory forever and shows up as a phantom row to
-        // anything that iterates the index — exactly what GC exists to
-        // prevent. `AccessGraph::forget` already removes emptied rows.
-        fn drop_time<K: std::hash::Hash + Eq>(
-            index: &mut HashMap<K, BTreeSet<LogicalTime>>,
-            key: &K,
-            time: LogicalTime,
-        ) {
-            if let Some(set) = index.get_mut(key) {
-                set.remove(&time);
-                if set.is_empty() {
-                    index.remove(key);
-                }
-            }
-        }
         for op in &action.db_ops {
             match op {
                 DbOp::Read { key, .. } => {
@@ -399,6 +417,98 @@ impl RepairLog {
         }
     }
 
+    /// Moves the derived state from `old` to `new` (same action, same
+    /// time) touching only what differs between them.
+    ///
+    /// The two kinds of derived state do not diff alike. Access-graph
+    /// edges are *counted*: one increment per read, write or scan hit, so
+    /// the edge change is the multiset difference of the two op lists.
+    /// `row_index` and `scan_index` postings are *sets* per
+    /// `(key, time)`: an action that point-reads and scans the same row
+    /// holds one posting for it, and losing one of those ops must not
+    /// drop the posting the other still justifies. So the ops are never
+    /// diffed one against one for postings; the edges are settled first
+    /// (additions before removals) and a posting goes only when the
+    /// action's last edge into the row went.
+    fn reindex(&mut self, old: &ActionRecord, new: &ActionRecord) {
+        let time = new.time;
+        let mut gone = Footprint::default();
+        let mut came = Footprint::default();
+        // Re-execution mostly repeats the original op for op, so walk the
+        // two lists side by side: a pair with the same footprint needs
+        // nothing, two scans of one table differ by their hits only, and
+        // anything else leaves and enters whole.
+        let mut old_ops = old.db_ops.iter();
+        let mut new_ops = new.db_ops.iter();
+        loop {
+            match (old_ops.next(), new_ops.next()) {
+                (None, None) => break,
+                (Some(DbOp::Read { key: a, .. }), Some(DbOp::Read { key: b, .. }))
+                | (Some(DbOp::Write { key: a, .. }), Some(DbOp::Write { key: b, .. }))
+                    if a == b => {}
+                (
+                    Some(DbOp::Scan {
+                        table: a, hits: ha, ..
+                    }),
+                    Some(DbOp::Scan {
+                        table: b, hits: hb, ..
+                    }),
+                ) if a == b => {
+                    let (only_old, only_new) = hits_difference(ha, hb);
+                    let edge = |id| (RowKey::new(a.clone(), id), AccessKind::Read);
+                    gone.edges.extend(only_old.into_iter().map(edge));
+                    came.edges.extend(only_new.into_iter().map(edge));
+                }
+                (a, b) => {
+                    a.into_iter().for_each(|op| gone.add(op));
+                    b.into_iter().for_each(|op| came.add(op));
+                }
+            }
+        }
+        for (key, kind) in &came.edges {
+            self.access.record(time, key, *kind);
+            self.row_index.entry(key.clone()).or_default().insert(time);
+        }
+        for (key, kind) in &gone.edges {
+            self.access.forget(time, key, *kind);
+            if !self.access.touches(key, time) {
+                drop_time(&mut self.row_index, key, time);
+            }
+        }
+        for table in came.tables {
+            self.scan_index
+                .entry(table.clone())
+                .or_default()
+                .insert(time);
+        }
+        for table in gone.tables {
+            let still_scanned = new
+                .db_ops
+                .iter()
+                .any(|op| matches!(op, DbOp::Scan { table: t, .. } if t == table));
+            if !still_scanned {
+                drop_time(&mut self.scan_index, table, time);
+            }
+        }
+
+        // Calls keep their response ids across re-execution unless the
+        // conversation itself changed; only positions that differ move.
+        fn id_at(calls: &[CallRecord], pos: usize) -> Option<&ResponseId> {
+            calls.get(pos).map(|c| &c.response_id)
+        }
+        for (pos, call) in old.calls.iter().enumerate() {
+            if id_at(&new.calls, pos) != Some(&call.response_id) {
+                self.call_index.remove(&call.response_id);
+            }
+        }
+        for (pos, call) in new.calls.iter().enumerate() {
+            if id_at(&old.calls, pos) != Some(&call.response_id) {
+                self.call_index
+                    .insert(call.response_id.clone(), (time, pos));
+            }
+        }
+    }
+
     /// Forgets every posting and access-graph edge for rows that no
     /// longer exist — the store's GC reaps rows whose entire history
     /// (down to the dead tombstone) fell below the horizon, and the
@@ -418,6 +528,90 @@ impl RepairLog {
         }
     }
 }
+
+/// Removes `time` from `key`'s posting set. Emptied postings are removed
+/// outright (not left as empty sets): the maps are keyed by row/table, so
+/// a leaked empty entry pins the key's memory forever and shows up as a
+/// phantom row to anything that iterates the index — exactly what GC
+/// exists to prevent. `AccessGraph::forget` already removes emptied rows.
+fn drop_time<K: std::hash::Hash + Eq>(
+    index: &mut HashMap<K, BTreeSet<LogicalTime>>,
+    key: &K,
+    time: LogicalTime,
+) {
+    if let Some(set) = index.get_mut(key) {
+        set.remove(&time);
+        if set.is_empty() {
+            index.remove(key);
+        }
+    }
+}
+
+/// What a run of db ops contributes to the derived state: one counted
+/// edge per read, write and scan hit, and the tables scanned.
+#[derive(Default)]
+struct Footprint<'a> {
+    edges: Vec<(RowKey, AccessKind)>,
+    tables: Vec<&'a String>,
+}
+
+impl<'a> Footprint<'a> {
+    fn add(&mut self, op: &'a DbOp) {
+        match op {
+            DbOp::Read { key, .. } => self.edges.push((key.clone(), AccessKind::Read)),
+            DbOp::Write { key, .. } => self.edges.push((key.clone(), AccessKind::Write)),
+            DbOp::Scan { table, hits, .. } => {
+                self.tables.push(table);
+                // Scans also point-read their hits.
+                self.edges.extend(
+                    hits.iter()
+                        .map(|&id| (RowKey::new(table.clone(), id), AccessKind::Read)),
+                );
+            }
+        }
+    }
+}
+
+/// The multiset difference of two hit lists: `(only in old, only in new)`.
+/// The store answers scans in id order, so the lists are merged as they
+/// stand; only lists from elsewhere are sorted first.
+fn hits_difference(old: &[u64], new: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    let (mut only_old, mut only_new) = (Vec::new(), Vec::new());
+    if old == new {
+        return (only_old, only_new);
+    }
+    if !(old.is_sorted() && new.is_sorted()) {
+        let sorted = |hits: &[u64]| {
+            let mut v = hits.to_vec();
+            v.sort_unstable();
+            v
+        };
+        return hits_difference(&sorted(old), &sorted(new));
+    }
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() && j < new.len() {
+        match old[i].cmp(&new[j]) {
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+            std::cmp::Ordering::Less => {
+                only_old.push(old[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                only_new.push(new[j]);
+                j += 1;
+            }
+        }
+    }
+    only_old.extend_from_slice(&old[i..]);
+    only_new.extend_from_slice(&new[j..]);
+    (only_old, only_new)
+}
+
+#[cfg(test)]
+mod reindex_properties;
 
 #[cfg(test)]
 mod tests {
@@ -456,6 +650,12 @@ mod tests {
             before: None,
             after: Some(jv!({"v": 1})),
         }
+    }
+
+    /// Supersedes the record at `new.time` the way the engine does.
+    fn replace(log: &mut RepairLog, new: ActionRecord) {
+        let old = log.take(new.time).expect("record to supersede");
+        log.replace(old, new);
     }
 
     fn scan(table: &str, filter: Filter, hits: Vec<u64>) -> DbOp {
@@ -527,7 +727,7 @@ mod tests {
         let mut log = RepairLog::new();
         log.record(action(1, vec![read("users", 1)]));
         // Re-execution read a different row.
-        log.replace(action(1, vec![read("users", 2)]));
+        replace(&mut log, action(1, vec![read("users", 2)]));
         assert_eq!(log.archived().len(), 1);
         assert!(log
             .actions_touching_row(&RowKey::new("users", 1), t(0))
@@ -535,6 +735,91 @@ mod tests {
         assert_eq!(
             log.actions_touching_row(&RowKey::new("users", 2), t(0)),
             vec![t(1)]
+        );
+    }
+
+    /// The pitfall the diff must not fall into: postings are sets, edges
+    /// are counted. An action that point-reads and scans the same row
+    /// keeps its posting when only one of the two ops goes away.
+    #[test]
+    fn replace_keeps_a_posting_another_op_still_justifies() {
+        let key = RowKey::new("users", 1);
+        let mut log = RepairLog::new();
+        log.record(action(
+            1,
+            vec![read("users", 1), scan("users", Filter::all(), vec![1, 2])],
+        ));
+        // The scan loses row 1; the point read still sees it.
+        replace(
+            &mut log,
+            action(
+                1,
+                vec![read("users", 1), scan("users", Filter::all(), vec![2])],
+            ),
+        );
+        assert_eq!(log.actions_touching_row(&key, t(0)), vec![t(1)]);
+        assert_eq!(
+            log.access().edges(),
+            vec![
+                (key.clone(), t(1), AccessKind::Read, 1),
+                (RowKey::new("users", 2), t(1), AccessKind::Read, 1),
+            ]
+        );
+        // Read turned into a write of the same row: the posting stays,
+        // the edge changes kind.
+        replace(
+            &mut log,
+            action(
+                1,
+                vec![write("users", 1), scan("users", Filter::all(), vec![2])],
+            ),
+        );
+        assert_eq!(log.actions_touching_row(&key, t(0)), vec![t(1)]);
+        assert_eq!(log.access().writers_since(&key, t(0)), vec![t(1)]);
+        // The last op naming the row goes: now the posting goes too, and
+        // the table stays scanned.
+        replace(
+            &mut log,
+            action(1, vec![scan("users", Filter::all(), vec![2])]),
+        );
+        assert!(log.actions_touching_row(&key, t(0)).is_empty());
+        assert_eq!(log.actions_scanning("users", t(0), |_| true), vec![t(1)]);
+        log.check_taint_integrity().unwrap();
+        assert_eq!(log.archived().len(), 3);
+    }
+
+    #[test]
+    fn take_and_put_back_leave_the_log_as_it_was() {
+        let mut log = RepairLog::new();
+        log.record(action(1, vec![write("users", 1)]));
+        log.record(action(2, vec![read("users", 1)]));
+        let before = log.snapshot().encode();
+        let taken = log.take(t(2)).unwrap();
+        assert!(log.at(t(2)).is_none(), "the engine owns it now");
+        // The derived state still names the action while it is out.
+        assert_eq!(
+            log.actions_touching_row(&RowKey::new("users", 1), t(2)),
+            vec![t(2)]
+        );
+        log.put_back(taken);
+        assert_eq!(log.snapshot().encode(), before);
+        assert!(log.by_request_id(&RequestId::new("svc", 2)).is_some());
+        assert!(log.take(t(9)).is_none());
+    }
+
+    #[test]
+    fn range_walks_outward_from_a_point() {
+        let mut log = RepairLog::new();
+        for n in [1, 3, 5, 7] {
+            log.record(action(n, vec![]));
+        }
+        let times = |it: &mut dyn Iterator<Item = &ActionRecord>| -> Vec<LogicalTime> {
+            it.map(|a| a.time).collect()
+        };
+        assert_eq!(times(&mut log.range(..t(5)).rev()), vec![t(3), t(1)]);
+        assert_eq!(
+            times(&mut log.range((std::ops::Bound::Excluded(t(5)), std::ops::Bound::Unbounded))),
+            vec![t(7)]
         );
     }
 
@@ -603,7 +888,7 @@ mod tests {
         assert_eq!(log.indexed_rows(), 1);
 
         // Replace re-points action 2 elsewhere; row 1 keeps action 1.
-        log.replace(action(2, vec![read("posts", 9)]));
+        replace(&mut log, action(2, vec![read("posts", 9)]));
         log.check_taint_integrity().unwrap();
 
         // Collecting everything must empty the indexes outright.
@@ -664,7 +949,7 @@ mod tests {
         log.record(action(3, vec![read("posts", 5)]));
 
         // Replace re-points action 2's edges at a different row.
-        log.replace(action(2, vec![read("users", 2)]));
+        replace(&mut log, action(2, vec![read("users", 2)]));
         assert!(log
             .access()
             .touchers_since(&RowKey::new("posts", 5), t(2))

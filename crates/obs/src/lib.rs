@@ -229,6 +229,13 @@ pub const LATENCY_BOUNDS_MICROS: &[u64] = &[
     10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
 ];
 
+/// Bucket bounds (µs) for repair-duration histograms: one re-executed
+/// action at the low end, a whole local-repair pass at the high end.
+pub const REPAIR_BOUNDS_MICROS: &[u64] = &[
+    10, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
+    1_000_000, 5_000_000,
+];
+
 /// Bucket bounds (row counts) for taint-closure-size histograms.
 pub const CLOSURE_BOUNDS: &[u64] = &[1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000, 5_000];
 
@@ -409,6 +416,12 @@ pub struct MetricsRegistry {
     pub dispatch_latency_micros: Histogram,
     /// Taint-closure sizes computed by selective repair, rows.
     pub taint_closure_size: Histogram,
+    /// Wall-clock duration of each local-repair pass, µs — how long the
+    /// service was busy repairing instead of serving.
+    pub repair_pass_micros: Histogram,
+    /// Wall-clock duration of each action re-executed inside a pass
+    /// (handler, write reconciliation, log update), µs.
+    pub repair_reexec_micros: Histogram,
 }
 
 impl MetricsRegistry {
@@ -441,6 +454,8 @@ impl MetricsRegistry {
             store_archived_bytes: Gauge::default(),
             dispatch_latency_micros: Histogram::new(LATENCY_BOUNDS_MICROS),
             taint_closure_size: Histogram::new(CLOSURE_BOUNDS),
+            repair_pass_micros: Histogram::new(REPAIR_BOUNDS_MICROS),
+            repair_reexec_micros: Histogram::new(REPAIR_BOUNDS_MICROS),
         }
     }
 
@@ -525,6 +540,14 @@ impl MetricsRegistry {
         s.histograms.insert(
             "aire_taint_closure_size".into(),
             self.taint_closure_size.snapshot(),
+        );
+        s.histograms.insert(
+            "aire_repair_pass_micros".into(),
+            self.repair_pass_micros.snapshot(),
+        );
+        s.histograms.insert(
+            "aire_repair_reexec_micros".into(),
+            self.repair_reexec_micros.snapshot(),
         );
         s
     }

@@ -158,6 +158,33 @@ impl AccessGraph {
         out
     }
 
+    /// True when the request that executed at `time` still has at least
+    /// one edge (of either kind) into `key`. The repair log asks this
+    /// after dropping an edge, to decide whether the row's posting for
+    /// that request has lost its last justification.
+    pub fn touches(&self, key: &RowKey, time: LogicalTime) -> bool {
+        self.rows
+            .get(key)
+            .is_some_and(|e| e.readers.contains_key(&time) || e.writers.contains_key(&time))
+    }
+
+    /// Every edge with its multiplicity, in `(row, time, kind)` order —
+    /// the graph's whole content in a canonical form, for checks that two
+    /// graphs built by different routes are the same graph.
+    pub fn edges(&self) -> Vec<(RowKey, LogicalTime, AccessKind, u32)> {
+        let mut out = Vec::new();
+        for (key, edges) in &self.rows {
+            for (kind, side) in [
+                (AccessKind::Read, &edges.readers),
+                (AccessKind::Write, &edges.writers),
+            ] {
+                out.extend(side.iter().map(|(&t, &n)| (key.clone(), t, kind, n)));
+            }
+        }
+        out.sort_by(|a, b| (&a.0, a.1, a.2 as u8).cmp(&(&b.0, b.1, b.2 as u8)));
+        out
+    }
+
     /// Times of requests that wrote `key` at or after `since`.
     pub fn writers_since(&self, key: &RowKey, since: LogicalTime) -> Vec<LogicalTime> {
         self.rows
@@ -269,6 +296,30 @@ mod tests {
         // Forgetting what was never recorded is a no-op.
         g.forget(t(9), &k(9), AccessKind::Write);
         assert!(g.is_empty());
+    }
+
+    #[test]
+    fn touches_follows_either_kind_and_edges_lists_multiplicities() {
+        let mut g = AccessGraph::new();
+        g.record(t(1), &k(1), AccessKind::Read);
+        g.record(t(1), &k(1), AccessKind::Read);
+        g.record(t(1), &k(1), AccessKind::Write);
+        g.record(t(2), &k(2), AccessKind::Read);
+        assert_eq!(
+            g.edges(),
+            vec![
+                (k(1), t(1), AccessKind::Read, 2),
+                (k(1), t(1), AccessKind::Write, 1),
+                (k(2), t(2), AccessKind::Read, 1),
+            ]
+        );
+        assert!(g.touches(&k(1), t(1)));
+        assert!(!g.touches(&k(1), t(2)));
+        g.forget(t(1), &k(1), AccessKind::Read);
+        g.forget(t(1), &k(1), AccessKind::Read);
+        assert!(g.touches(&k(1), t(1)), "the write edge still justifies it");
+        g.forget(t(1), &k(1), AccessKind::Write);
+        assert!(!g.touches(&k(1), t(1)));
     }
 
     #[test]

@@ -155,6 +155,8 @@ fn merged_exposition_parses_and_covers_the_operator_series() {
         "aire_repair_ops_skipped_total",
         "aire_taint_closure_size",
         "aire_dispatch_latency_micros",
+        "aire_repair_pass_micros",
+        "aire_repair_reexec_micros",
     ] {
         assert!(text.contains(needed), "exposition lacks {needed}:\n{text}");
     }
@@ -187,6 +189,13 @@ fn merged_exposition_parses_and_covers_the_operator_series() {
     // Recovery really flowed through the counters the lines report.
     assert!(merged.counters["aire_repair_msgs_sent_total"] > 0);
     assert!(merged.counters["aire_repair_ops_reexecuted_total"] > 0);
+    // ...and through the engine's two stopwatches: one observation per
+    // pass, one per action the passes re-executed (deletes run no handler).
+    let passes = &merged.histograms["aire_repair_pass_micros"];
+    let reexecs = &merged.histograms["aire_repair_reexec_micros"];
+    assert!(passes.count > 0 && reexecs.count > 0);
+    assert!(reexecs.count <= merged.counters["aire_repair_ops_reexecuted_total"]);
+    assert!(reexecs.sum <= passes.sum, "re-executions run inside passes");
 
     // Regenerate the sample artifacts CI uploads: the exposition text
     // and the span dump (as a JSON list), both at the repo root.
