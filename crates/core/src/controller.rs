@@ -26,6 +26,10 @@ use crate::runtime::{build_record, RecordingRuntime, ResponseSeqs, Trace};
 use crate::stats::ControllerStats;
 use crate::taint::RepairScope;
 
+/// An accepted repair message's acknowledgement, plus the seed of the
+/// local-repair pass to run before sending it (immediate mode only).
+type Accepted = (HttpResponse, Option<PendingSeed>);
+
 /// Messages packed into one [`RepairBatch`] carrier by a queue flush
 /// ([`AdminOp::FlushQueue`]), so a thousand-entry queue drains in a
 /// handful of frames.
@@ -223,6 +227,9 @@ pub struct Controller {
     /// enforcement pass — edge-detects budget crossings so the admin
     /// notice fires once per crossing, not once per request.
     over_budget: Cell<bool>,
+    /// Set while a local-repair pass runs; requests reaching the service
+    /// then arrive between its quanta (see [`Controller::route`]).
+    repairing: Cell<bool>,
 }
 
 impl Controller {
@@ -278,6 +285,7 @@ impl Controller {
             net,
             obs,
             over_budget: Cell::new(false),
+            repairing: Cell::new(false),
         })
     }
 
@@ -441,6 +449,7 @@ impl Controller {
             config,
             obs,
             over_budget: Cell::new(false),
+            repairing: Cell::new(false),
         }))
     }
 
@@ -562,11 +571,56 @@ impl Controller {
     }
 
     fn do_run_local_repair(&self) -> usize {
-        let mut core = self.core.borrow_mut();
-        let seeds = core.incoming.drain();
+        let seeds = self.core.borrow_mut().incoming.drain();
         if seeds.is_empty() {
             return 0;
         }
+        self.run_pass(seeds)
+    }
+
+    /// The one local-repair driver every entry point goes through:
+    /// schedules `seeds`, expands them by the configured scope, and runs
+    /// the pass in quanta of [`Network::repair_quantum`]. Between quanta
+    /// the core borrow is released and the network yields to the serving
+    /// loop, which may execute normal requests here (see [`Self::route`]
+    /// for what is refused meanwhile). Without a yielder — every
+    /// in-process world — the pass runs in one quantum. Returns the
+    /// number of actions processed.
+    fn run_pass(&self, seeds: Vec<PendingSeed>) -> usize {
+        let quantum = self.net.repair_quantum();
+        let host = self.name();
+        let mut pass = {
+            let mut core = self.core.borrow_mut();
+            let state = self.engine_state(&mut core);
+            let mut engine = RepairEngine::new(state, self.app.as_ref(), &self.router);
+            for seed in seeds {
+                engine.schedule_seed(seed);
+            }
+            engine.expand_scope(self.config.repair_scope);
+            engine.suspend()
+        };
+        self.repairing.set(true);
+        let processed = loop {
+            let mut core = self.core.borrow_mut();
+            let state = self.engine_state(&mut core);
+            let mut engine = RepairEngine::resume(state, self.app.as_ref(), &self.router, pass);
+            if engine.run_quantum(quantum) {
+                break engine.finish();
+            }
+            pass = engine.suspend();
+            drop(core);
+            self.obs.registry().repair_yields_total.incr();
+            // Requests served meanwhile are not part of this pass's trace
+            // tree; the ambient context comes back for the next quantum.
+            let ambient = self.obs.set_current(None);
+            self.net.yield_to_pending(host.as_str());
+            self.obs.set_current(ambient);
+        };
+        self.repairing.set(false);
+        processed
+    }
+
+    fn engine_state<'c>(&'c self, core: &'c mut ServiceCore) -> EngineState<'c> {
         let ServiceCore {
             name,
             store,
@@ -579,8 +633,8 @@ impl Controller {
             shard_index,
             shard_count,
             ..
-        } = &mut *core;
-        let state = EngineState {
+        } = core;
+        EngineState {
             service: name,
             store,
             log,
@@ -591,22 +645,7 @@ impl Controller {
             notifications,
             coarse_scan_taint: self.config.coarse_scan_taint,
             obs: Some(&self.obs),
-        };
-        let mut engine = RepairEngine::new(state, self.app.as_ref(), &self.router);
-        for seed in seeds {
-            match seed {
-                PendingSeed::Skip { time } => engine.schedule_skip(time),
-                PendingSeed::Replace { time, new_request } => {
-                    engine.schedule_reexec(time, Some(new_request))
-                }
-                PendingSeed::Create { time, id, request } => {
-                    engine.schedule_create(time, id, request)
-                }
-                PendingSeed::FixResponse { time } => engine.schedule_reexec(time, None),
-            }
         }
-        engine.expand_scope(self.config.repair_scope);
-        engine.run()
     }
 
     /// Garbage-collects log and store history strictly before `horizon`
@@ -833,11 +872,21 @@ impl Controller {
     pub fn receive_repair(&self, msg: RepairMessage) -> HttpResponse {
         self.obs.start("apply_repair");
         self.obs.registry().repair_msgs_received_total.incr();
-        let mut core = self.core.borrow_mut();
-        match self.apply_repair_locked(&mut core, msg) {
-            Ok(ack) => ack,
+        let accepted = self.apply_repair_locked(&mut self.core.borrow_mut(), msg);
+        match accepted {
+            Ok(accepted) => self.run_accepted(accepted),
             Err(resp) => resp,
         }
+    }
+
+    /// Runs the local-repair pass an accepted message asks for (immediate
+    /// mode), outside the core borrow, then hands back its acknowledgement
+    /// — so a carrier or notify is still acked only when the pass ends.
+    fn run_accepted(&self, (ack, seed): Accepted) -> HttpResponse {
+        if let Some(seed) = seed {
+            self.run_pass(vec![seed]);
+        }
+        ack
     }
 
     /// Handles a batched repair carrier (`POST /aire/repair_batch`): each
@@ -854,19 +903,17 @@ impl Controller {
         protocol::batch_response(&results)
     }
 
+    /// Resolves, authorizes and books one repair message. The seed comes
+    /// back for an immediate-mode pass; deferred mode parks it on the
+    /// incoming queue.
     fn apply_repair_locked(
         &self,
         core: &mut ServiceCore,
         msg: RepairMessage,
-    ) -> Result<HttpResponse, HttpResponse> {
+    ) -> Result<Accepted, HttpResponse> {
         let credentials = msg.credentials.clone();
-        // Resolve and authorize.
-        enum Seed {
-            Skip(LogicalTime, RequestId),
-            Replace(LogicalTime, RequestId, HttpRequest),
-            Create(LogicalTime, RequestId, HttpRequest),
-        }
-        let seed = match &msg.op {
+        // Resolve and authorize; the ack names the (re)executed request.
+        let (acked_id, seed) = match &msg.op {
             RepairOp::Delete { request_id } => {
                 // The target may exist only as a queued create (the remote
                 // re-repaired before our deferred pass ran): cancelling the
@@ -890,7 +937,7 @@ impl Controller {
                     core.stats.repair_messages_received += 1;
                     let mut ack = HttpResponse::ok(jv!({"aire": "cancelled"}));
                     aire::tag_response(&mut ack, request_id);
-                    return Ok(ack);
+                    return Ok((ack, None));
                 }
                 let record = self.lookup_action(core, request_id)?;
                 let (time, original) = (record.time, record.request.clone());
@@ -904,7 +951,7 @@ impl Controller {
                     None,
                     &credentials,
                 )?;
-                Seed::Skip(time, request_id.clone())
+                (request_id.clone(), PendingSeed::Skip { time })
             }
             RepairOp::Replace {
                 request_id,
@@ -931,7 +978,7 @@ impl Controller {
                     core.stats.repair_messages_received += 1;
                     let mut ack = HttpResponse::ok(jv!({"aire": "queued"}));
                     aire::tag_response(&mut ack, request_id);
-                    return Ok(ack);
+                    return Ok((ack, None));
                 }
                 let record = self.lookup_action(core, request_id)?;
                 let (time, original) = (record.time, record.request.clone());
@@ -945,7 +992,11 @@ impl Controller {
                     None,
                     &credentials,
                 )?;
-                Seed::Replace(time, request_id.clone(), new_request.clone())
+                let new_request = new_request.clone();
+                (
+                    request_id.clone(),
+                    PendingSeed::Replace { time, new_request },
+                )
             }
             RepairOp::Create {
                 request,
@@ -982,7 +1033,8 @@ impl Controller {
                 let seq = core.alloc_request_seq();
                 let id = RequestId::new(core.name.clone(), seq);
                 core.time.observe(time);
-                Seed::Create(time, id, request.clone())
+                let request = request.clone();
+                (id.clone(), PendingSeed::Create { time, id, request })
             }
             RepairOp::ReplaceResponse {
                 response_id,
@@ -997,69 +1049,15 @@ impl Controller {
 
         // Deferred mode: park the authorized seed on the incoming queue
         // (§3.2) and acknowledge; run_local_repair applies it later.
-        if core.mode == RepairMode::Deferred {
-            let (acked_id, pending) = match seed {
-                Seed::Skip(time, id) => (id, PendingSeed::Skip { time }),
-                Seed::Replace(time, id, new_request) => {
-                    (id, PendingSeed::Replace { time, new_request })
-                }
-                Seed::Create(time, id, request) => {
-                    (id.clone(), PendingSeed::Create { time, id, request })
-                }
-            };
-            core.incoming.push(pending);
-            let mut ack = HttpResponse::ok(jv!({"aire": "queued"}));
-            aire::tag_response(&mut ack, &acked_id);
-            return Ok(ack);
-        }
-
-        // Seed and run local repair.
-        let ServiceCore {
-            name,
-            store,
-            log,
-            outgoing,
-            next_response_seq,
-            stats,
-            admin_notices,
-            notifications,
-            shard_index,
-            shard_count,
-            ..
-        } = &mut *core;
-        let state = EngineState {
-            service: name,
-            store,
-            log,
-            outgoing,
-            next_response_seq: ResponseSeqs::new(next_response_seq, *shard_index, *shard_count),
-            stats,
-            admin_notices,
-            notifications,
-            coarse_scan_taint: self.config.coarse_scan_taint,
-            obs: Some(&self.obs),
+        let (outcome, seed) = if core.mode == RepairMode::Deferred {
+            core.incoming.push(seed);
+            ("queued", None)
+        } else {
+            ("ok", Some(seed))
         };
-        let mut engine = RepairEngine::new(state, self.app.as_ref(), &self.router);
-        let acked_id = match seed {
-            Seed::Skip(time, id) => {
-                engine.schedule_skip(time);
-                id
-            }
-            Seed::Replace(time, id, new_request) => {
-                engine.schedule_reexec(time, Some(new_request));
-                id
-            }
-            Seed::Create(time, id, request) => {
-                engine.schedule_create(time, id.clone(), request);
-                id
-            }
-        };
-        engine.expand_scope(self.config.repair_scope);
-        engine.run();
-
-        let mut ack = HttpResponse::ok(jv!({"aire": "ok"}));
+        let mut ack = HttpResponse::ok(jv!({ "aire": outcome }));
         aire::tag_response(&mut ack, &acked_id);
-        Ok(ack)
+        Ok((ack, seed))
     }
 
     /// Picks a splice time in the open interval `(lo, hi)` that collides
@@ -1164,7 +1162,7 @@ impl Controller {
         core: &mut ServiceCore,
         response_id: &ResponseId,
         new_response: &HttpResponse,
-    ) -> AireResult<HttpResponse> {
+    ) -> AireResult<Accepted> {
         if response_id.service != core.name {
             return Err(AireError::Protocol(format!(
                 "response {response_id} was not assigned by {}",
@@ -1205,45 +1203,17 @@ impl Controller {
         }
         let deleted = record.status == ActionStatus::Deleted;
         if unchanged || deleted {
-            return Ok(HttpResponse::ok(jv!({"aire": "noop"})));
+            return Ok((HttpResponse::ok(jv!({"aire": "noop"})), None));
         }
-        // Deferred mode: the corrected response is already recorded; the
-        // owning action's re-execution waits for the aggregated pass.
+        // Re-execute the owning action with the corrected response — now,
+        // or (deferred mode: the corrected response is already recorded)
+        // in the aggregated pass.
+        let seed = PendingSeed::FixResponse { time };
         if core.mode == RepairMode::Deferred {
-            core.incoming.push(PendingSeed::FixResponse { time });
-            return Ok(HttpResponse::ok(jv!({"aire": "queued"})));
+            core.incoming.push(seed);
+            return Ok((HttpResponse::ok(jv!({"aire": "queued"})), None));
         }
-        // Re-execute the owning action with the corrected response.
-        let ServiceCore {
-            name,
-            store,
-            log,
-            outgoing,
-            next_response_seq,
-            stats,
-            admin_notices,
-            notifications,
-            shard_index,
-            shard_count,
-            ..
-        } = &mut *core;
-        let state = EngineState {
-            service: name,
-            store,
-            log,
-            outgoing,
-            next_response_seq: ResponseSeqs::new(next_response_seq, *shard_index, *shard_count),
-            stats,
-            admin_notices,
-            notifications,
-            coarse_scan_taint: self.config.coarse_scan_taint,
-            obs: Some(&self.obs),
-        };
-        let mut engine = RepairEngine::new(state, self.app.as_ref(), &self.router);
-        engine.schedule_reexec(time, None);
-        engine.expand_scope(self.config.repair_scope);
-        engine.run();
-        Ok(HttpResponse::ok(jv!({"aire": "ok"})))
+        Ok((HttpResponse::ok(jv!({"aire": "ok"})), Some(seed)))
     }
 
     //////// The notifier-URL / token dance (§3.1). ////////
@@ -1287,9 +1257,13 @@ impl Controller {
             Ok(r) => r,
             Err(e) => return HttpResponse::error(Status::BAD_REQUEST, e),
         };
-        let mut core = self.core.borrow_mut();
-        match self.apply_replace_response_locked(&mut core, &response_id, &new_response) {
-            Ok(ack) => ack,
+        let accepted = self.apply_replace_response_locked(
+            &mut self.core.borrow_mut(),
+            &response_id,
+            &new_response,
+        );
+        match accepted {
+            Ok(accepted) => self.run_accepted(accepted),
             Err(e) => error_response(&e),
         }
     }
@@ -1759,38 +1733,15 @@ impl Controller {
     /// the `ablation_selective` bench compares Warp-style selective
     /// re-execution against. Returns the number of actions processed.
     pub fn reexecute_entire_log(&self) -> usize {
-        let mut core = self.core.borrow_mut();
-        let times: Vec<LogicalTime> = core.log.actions().map(|a| a.time).collect();
-        let ServiceCore {
-            name,
-            store,
-            log,
-            outgoing,
-            next_response_seq,
-            stats,
-            admin_notices,
-            notifications,
-            shard_index,
-            shard_count,
-            ..
-        } = &mut *core;
-        let state = EngineState {
-            service: name,
-            store,
-            log,
-            outgoing,
-            next_response_seq: ResponseSeqs::new(next_response_seq, *shard_index, *shard_count),
-            stats,
-            admin_notices,
-            notifications,
-            coarse_scan_taint: self.config.coarse_scan_taint,
-            obs: Some(&self.obs),
-        };
-        let mut engine = RepairEngine::new(state, self.app.as_ref(), &self.router);
-        for t in times {
-            engine.schedule_reexec(t, None);
-        }
-        engine.run()
+        let times: Vec<LogicalTime> = self.core.borrow().log.actions().map(|a| a.time).collect();
+        // Re-executing against the log's own inputs is exactly the plan
+        // of a corrected response.
+        self.run_pass(
+            times
+                .into_iter()
+                .map(|time| PendingSeed::FixResponse { time })
+                .collect(),
+        )
     }
 
     //////// The control plane (admin API). ////////
@@ -2058,7 +2009,22 @@ impl Endpoint for Controller {
 }
 
 impl Controller {
+    /// Routes one request. While a local-repair pass is suspended
+    /// between quanta, only normal requests run: at the present time,
+    /// against the partly repaired store, recorded and indexed like any
+    /// other — later than every agenda entry, so dynamic taint enrols
+    /// them if a later quantum changes what they read. Everything under
+    /// `/aire/` (carriers, notify, fetch_repair, admin) gets a `503` the
+    /// sender keeps queued, and store-budget enforcement waits for the
+    /// pass to end.
     fn route(&self, req: &HttpRequest) -> HttpResponse {
+        let mid_pass = self.repairing.get();
+        if mid_pass {
+            if req.url.path.starts_with("/aire/") {
+                return HttpResponse::error(Status::UNAVAILABLE, "local repair pass in progress");
+            }
+            self.obs.registry().served_during_repair_total.incr();
+        }
         // The control plane (served on the operator listener,
         // `Network::deliver_admin`).
         if req.url.path.starts_with(admin::ADMIN_PREFIX) {
@@ -2090,15 +2056,16 @@ impl Controller {
         // read nothing but body and query from the outer request, and
         // carrier payloads strip their embedded copies in
         // `from_carrier`.
-        if req.headers.get(TRACE_HEADER).is_some() {
+        let response = if req.headers.get(TRACE_HEADER).is_some() {
             let mut clean = req.clone();
             clean.headers.remove(TRACE_HEADER);
-            let response = self.execute_normal(&clean);
+            self.execute_normal(&clean)
+        } else {
+            self.execute_normal(req)
+        };
+        if !mid_pass {
             self.enforce_store_budget();
-            return response;
         }
-        let response = self.execute_normal(req);
-        self.enforce_store_budget();
         response
     }
 }

@@ -30,10 +30,16 @@
 //! one and re-indexes by difference — nothing is deep-copied on the way,
 //! and the old and new responses are compared (by reference) only for a
 //! client that can actually be sent a `replace_response`.
+//!
+//! A pass runs in quanta ([`RepairEngine::run_quantum`]). Its agenda,
+//! fresh-id pools and counters live in an owned [`RepairPass`], so the
+//! controller can [`suspend`](RepairEngine::suspend) it between quanta,
+//! release the service's state to serve normal requests, and
+//! [`resume`](RepairEngine::resume) it over a fresh borrow.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use aire_http::{aire, HttpRequest, HttpResponse, Status};
 use aire_log::{ActionRecord, ActionStatus, CallRecord, DbOp, RepairLog};
@@ -41,6 +47,7 @@ use aire_types::{Jv, LogicalTime, MsgId, RequestId, ServiceName};
 use aire_vdb::{RowKey, VersionedStore};
 use aire_web::{App, Compensation, Ctx, RepairProblem, Router};
 
+use crate::incoming::PendingSeed;
 use crate::protocol::RepairOp;
 use crate::queue::{OutgoingQueues, QueueKey};
 use crate::runtime::{build_record, final_writes, CallPlan, ReplayRuntime, ResponseSeqs, Trace};
@@ -113,25 +120,69 @@ pub struct EngineState<'a> {
     pub obs: Option<&'a aire_obs::Obs>,
 }
 
+/// What a local-repair pass carries from one quantum to the next: the
+/// agenda, the fresh-id pools and the counters. It owns nothing of the
+/// service's state, so between quanta ([`RepairEngine::suspend`] →
+/// [`RepairEngine::resume`]) the [`EngineState`] borrow is released and
+/// the service can execute normal requests.
+#[derive(Debug, Default)]
+pub struct RepairPass {
+    agenda: BTreeMap<LogicalTime, Plan>,
+    fresh_ids: BTreeMap<String, u64>,
+    /// Live actions when the first quantum started (`None` before).
+    candidates: Option<usize>,
+    processed: usize,
+    /// The sum of the quanta run so far.
+    busy: Duration,
+    last_time: LogicalTime,
+}
+
 /// The local-repair engine for one pass.
 pub struct RepairEngine<'a> {
     state: EngineState<'a>,
     app: &'a dyn App,
     router: &'a Router,
-    agenda: BTreeMap<LogicalTime, Plan>,
-    fresh_ids: BTreeMap<String, u64>,
+    pass: RepairPass,
 }
 
 impl<'a> RepairEngine<'a> {
     /// Creates an engine with an empty agenda.
     pub fn new(state: EngineState<'a>, app: &'a dyn App, router: &'a Router) -> RepairEngine<'a> {
+        RepairEngine::resume(state, app, router, RepairPass::default())
+    }
+
+    /// Takes a suspended pass up again over freshly borrowed state.
+    ///
+    /// Every fresh-id pool is raised to its table's allocator top first:
+    /// a normal insert served while the pass was suspended took the next
+    /// store id, and a divergent insert drawing from a stale pool would
+    /// land on that row.
+    pub fn resume(
+        state: EngineState<'a>,
+        app: &'a dyn App,
+        router: &'a Router,
+        mut pass: RepairPass,
+    ) -> RepairEngine<'a> {
+        for table in state.store.table_names() {
+            let top = state
+                .store
+                .peek_next_id(table)
+                .unwrap_or(1_000_000)
+                .saturating_sub(1);
+            let pool = pass.fresh_ids.entry(table.to_string()).or_insert(top);
+            *pool = (*pool).max(top);
+        }
         RepairEngine {
             state,
             app,
             router,
-            agenda: BTreeMap::new(),
-            fresh_ids: BTreeMap::new(),
+            pass,
         }
+    }
+
+    /// Parks the pass, releasing the borrowed state.
+    pub fn suspend(self) -> RepairPass {
+        self.pass
     }
 
     /// Schedules a deletion of the action at `time`.
@@ -149,18 +200,30 @@ impl<'a> RepairEngine<'a> {
         self.schedule(time, Plan::CreateNew { request, id });
     }
 
+    /// Schedules an authorized repair seed.
+    pub fn schedule_seed(&mut self, seed: PendingSeed) {
+        match seed {
+            PendingSeed::Skip { time } => self.schedule_skip(time),
+            PendingSeed::Replace { time, new_request } => {
+                self.schedule_reexec(time, Some(new_request))
+            }
+            PendingSeed::Create { time, id, request } => self.schedule_create(time, id, request),
+            PendingSeed::FixResponse { time } => self.schedule_reexec(time, None),
+        }
+    }
+
     fn schedule(&mut self, time: LogicalTime, plan: Plan) {
-        match self.agenda.get_mut(&time) {
+        match self.pass.agenda.get_mut(&time) {
             Some(existing) => Plan::merge(existing, plan),
             None => {
-                self.agenda.insert(time, plan);
+                self.pass.agenda.insert(time, plan);
             }
         }
     }
 
     /// True if anything is scheduled.
     pub fn has_work(&self) -> bool {
-        !self.agenda.is_empty()
+        !self.pass.agenda.is_empty()
     }
 
     /// Expands the seeded agenda according to the configured
@@ -179,7 +242,7 @@ impl<'a> RepairEngine<'a> {
     /// Seed plans always win over the expansion's plain re-execs
     /// (`Plan::merge`: `Skip` and overrides dominate).
     pub fn expand_scope(&mut self, scope: RepairScope) {
-        let Some(&earliest) = self.agenda.keys().next() else {
+        let Some(&earliest) = self.pass.agenda.keys().next() else {
             return;
         };
         match scope {
@@ -197,7 +260,7 @@ impl<'a> RepairEngine<'a> {
                 }
             }
             RepairScope::Selective => {
-                let seeds: Vec<LogicalTime> = self.agenda.keys().copied().collect();
+                let seeds: Vec<LogicalTime> = self.pass.agenda.keys().copied().collect();
                 let closure = tainted_closure(self.state.log, seeds, self.state.coarse_scan_taint);
                 if let Some(obs) = self.state.obs {
                     obs.registry()
@@ -218,40 +281,70 @@ impl<'a> RepairEngine<'a> {
     /// Runs the pass to completion. Returns the number of actions
     /// processed.
     pub fn run(mut self) -> usize {
+        self.run_quantum(None);
+        self.finish()
+    }
+
+    /// Processes agenda entries, strictly in time order, until the agenda
+    /// is empty or — after at least one entry — `quantum` has elapsed
+    /// (`None`: no limit). Returns `true` when the agenda is empty.
+    ///
+    /// A normal request served between quanta ran at the present time,
+    /// later than every agenda entry, so a later quantum whose taint
+    /// enrols it keeps the order intact.
+    pub fn run_quantum(&mut self, quantum: Option<Duration>) -> bool {
         let started = Instant::now();
-        if let Some(obs) = self.state.obs {
-            obs.start("repair_pass");
+        if self.pass.candidates.is_none() {
+            if let Some(obs) = self.state.obs {
+                obs.start("repair_pass");
+            }
+            // Everything live in the log was a *candidate* for this pass;
+            // whatever the agenda never touches was skipped — the savings
+            // selective re-execution exists to create.
+            self.pass.candidates =
+                Some(self.state.log.actions().filter(|a| !a.is_deleted()).count());
         }
-        // Everything live in the log was a *candidate* for this pass;
-        // whatever the agenda never touches was skipped — the savings
-        // selective re-execution exists to create.
-        let candidates = self.state.log.actions().filter(|a| !a.is_deleted()).count();
-        // Seed the fresh-id pools from the store's allocator tops, once
-        // per pass, so divergent inserts cannot collide with existing rows.
-        for table in self.state.store.table_names() {
-            let next = self.state.store.peek_next_id(table).unwrap_or(1_000_000);
-            self.fresh_ids
-                .insert(table.to_string(), next.saturating_sub(1));
-        }
-        let mut processed = 0;
-        let mut last_time = LogicalTime::ZERO;
-        while let Some((&time, _)) = self.agenda.iter().next() {
-            let plan = self.agenda.remove(&time).expect("agenda entry vanished");
-            debug_assert!(time >= last_time, "agenda must be processed in time order");
-            last_time = time;
+        while let Some((time, plan)) = self.pass.agenda.pop_first() {
+            debug_assert!(
+                time >= self.pass.last_time,
+                "agenda must be processed in time order"
+            );
+            self.pass.last_time = time;
             self.process(time, plan);
-            processed += 1;
+            self.pass.processed += 1;
+            if quantum.is_some_and(|q| started.elapsed() >= q) {
+                break;
+            }
         }
         let elapsed = started.elapsed();
+        self.pass.busy += elapsed;
+        if let Some(obs) = self.state.obs {
+            obs.registry()
+                .repair_quantum_micros
+                .observe(elapsed.as_micros() as u64);
+        }
+        self.pass.agenda.is_empty()
+    }
+
+    /// Ends the pass: its counters, busy time (the sum of its quanta)
+    /// and pass count go to the statistics. Returns the number of actions
+    /// processed.
+    pub fn finish(self) -> usize {
+        let RepairPass {
+            candidates,
+            processed,
+            busy,
+            ..
+        } = self.pass;
         if let Some(obs) = self.state.obs {
             let reg = obs.registry();
             reg.repair_ops_reexecuted_total.add(processed as u64);
             reg.repair_ops_skipped_total
-                .add(candidates.saturating_sub(processed) as u64);
-            reg.repair_pass_micros.observe(elapsed.as_micros() as u64);
+                .add(candidates.unwrap_or(0).saturating_sub(processed) as u64);
+            reg.repair_pass_micros.observe(busy.as_micros() as u64);
         }
         self.state.stats.repaired_requests += processed as u64;
-        self.state.stats.repair_wall += elapsed;
+        self.state.stats.repair_wall += busy;
         self.state.stats.repair_passes += 1;
         processed
     }
@@ -346,7 +439,7 @@ impl<'a> RepairEngine<'a> {
                 time,
                 original.as_ref(),
                 self.state.next_response_seq.reborrow(),
-                &mut self.fresh_ids,
+                &mut self.pass.fresh_ids,
             );
             let response = match self.router.dispatch(request.method, &request.url.path) {
                 Some((handler, params)) => {

@@ -29,7 +29,10 @@
 //!   handling a request is refused (the paper's applications never call
 //!   back into their caller within a request, and allowing it would let
 //!   a single `RefCell`-holding handler deadlock the simulation — or a
-//!   single-threaded daemon deadlock itself).
+//!   single-threaded daemon deadlock itself). The one opening is
+//!   [`Network::yield_to_pending`]: between the quanta of a host's own
+//!   repair pass its data plane is served through the installed
+//!   [`Yield`].
 //!
 //! Delivery is synchronous and deterministic; *asynchrony* in Aire lives
 //! in the repair controller's queues, which retry delivery when services
@@ -46,7 +49,8 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
+use std::time::Duration;
 
 use aire_http::frame;
 use aire_http::{HttpRequest, HttpResponse};
@@ -137,6 +141,25 @@ pub trait NodeDispatch {
     /// Collects every completed submission: `(ticket, result)` pairs,
     /// at most one per submitted ticket, in completion order.
     fn poll(&self) -> Vec<(u64, AireResult<HttpResponse>)>;
+}
+
+/// Serving pending traffic between the quanta of a long local-repair
+/// pass: the seam between a repair controller (`aire-core`) and the
+/// serve loop hosting it (`aire-transport`'s `NodeServer`), defined here
+/// beside [`NodeDispatch`] so neither crate depends on the other.
+///
+/// A controller asks its [`Network`] for the quantum
+/// ([`Network::repair_quantum`]); with no yielder installed — every
+/// in-process world — there is none and a pass runs to completion in
+/// one go. Between quanta it calls [`Network::yield_to_pending`], which
+/// reopens the host's data plane around one [`Yield::serve_pending`].
+pub trait Yield {
+    /// How long a repair pass may run before it yields.
+    fn quantum(&self) -> Duration;
+
+    /// Serves whatever traffic is pending, once, while the pass of
+    /// `host` is suspended.
+    fn serve_pending(&self, host: &str);
 }
 
 /// The in-process [`Transport`]: delivery is a direct method call on the
@@ -258,6 +281,12 @@ struct NetInner {
     certs: BTreeMap<String, Certificate>,
     in_flight: BTreeSet<String>,
     admin_in_flight: BTreeSet<String>,
+    /// Hosts whose repair pass is suspended in
+    /// [`Network::yield_to_pending`]: data plane open, admin plane shut.
+    yielding: BTreeSet<String>,
+    /// Weak, so a network held by the controllers never keeps a dead
+    /// serve loop alive.
+    yielder: Option<Weak<dyn Yield>>,
     next_serial: u64,
     stats: NetStats,
 }
@@ -411,7 +440,9 @@ impl Network {
         // while the data plane stays reachable during admin work — the
         // wire-pump pattern depends on that.
         let busy = if admin {
-            inner.admin_in_flight.contains(host) || inner.in_flight.contains(host)
+            inner.admin_in_flight.contains(host)
+                || inner.in_flight.contains(host)
+                || inner.yielding.contains(host)
         } else {
             inner.in_flight.contains(host)
         };
@@ -556,6 +587,45 @@ impl Network {
     /// Delivery statistics so far.
     pub fn stats(&self) -> NetStats {
         self.inner.borrow().stats
+    }
+
+    /// Installs the serve loop that long repair passes on this network
+    /// yield to between quanta (a `NodeServer` installs itself at bind).
+    pub fn set_yielder(&self, yielder: Weak<dyn Yield>) {
+        self.inner.borrow_mut().yielder = Some(yielder);
+    }
+
+    fn yielder(&self) -> Option<Rc<dyn Yield>> {
+        self.inner.borrow().yielder.as_ref()?.upgrade()
+    }
+
+    /// How long a local-repair pass may run before yielding, or `None`
+    /// when nothing could be served meanwhile (no live yielder): the pass
+    /// then runs to completion in one go.
+    pub fn repair_quantum(&self) -> Option<Duration> {
+        self.yielder().map(|y| y.quantum())
+    }
+
+    /// Serves pending traffic once while `host`'s repair pass is
+    /// suspended between quanta. For the duration the host's data plane
+    /// is reopened — even when the pass runs inside a data-plane request
+    /// — and its admin plane keeps refusing with
+    /// [`AireError::Reentrancy`]. A no-op without a yielder.
+    pub fn yield_to_pending(&self, host: &str) {
+        let Some(yielder) = self.yielder() else {
+            return;
+        };
+        let was_in_flight = {
+            let mut inner = self.inner.borrow_mut();
+            inner.yielding.insert(host.to_string());
+            inner.in_flight.remove(host)
+        };
+        yielder.serve_pending(host);
+        let mut inner = self.inner.borrow_mut();
+        inner.yielding.remove(host);
+        if was_in_flight {
+            inner.in_flight.insert(host.to_string());
+        }
     }
 }
 
@@ -839,6 +909,86 @@ mod tests {
         let results = net.deliver_many(&reqs);
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(net.stats().delivered, 2);
+    }
+
+    //////// Yielding between repair quanta. ////////
+
+    /// Serves one foreground request and one admin probe at the yielding
+    /// host, recording what each got.
+    struct Foreground {
+        net: Network,
+        seen: RefCell<Vec<String>>,
+    }
+
+    impl Yield for Foreground {
+        fn quantum(&self) -> Duration {
+            Duration::ZERO
+        }
+
+        fn serve_pending(&self, host: &str) {
+            let data = self.net.deliver(&get(host, "/fg"));
+            let admin = self.net.deliver_admin(&get(host, "/aire/v1/admin/stats"));
+            let mut seen = self.seen.borrow_mut();
+            seen.push(match data {
+                Ok(resp) => resp.body.str_of("path").to_string(),
+                Err(e) => e.to_string(),
+            });
+            seen.push(match admin {
+                Err(AireError::Reentrancy(_)) => "admin refused".to_string(),
+                other => format!("{other:?}"),
+            });
+        }
+    }
+
+    /// A service whose `/pass` runs a "repair pass" that yields once,
+    /// then probes its own data plane again.
+    struct Repairing {
+        net: Network,
+    }
+
+    impl Endpoint for Repairing {
+        fn handle(&self, req: &HttpRequest) -> HttpResponse {
+            if req.url.path != "/pass" {
+                return HttpResponse::ok(jv!({"path": req.url.path.clone()}));
+            }
+            self.net.yield_to_pending("svc");
+            match self.net.deliver(&get("svc", "/after")) {
+                Ok(r) => r,
+                Err(e) => HttpResponse::error(Status::UNAVAILABLE, e.to_string()),
+            }
+        }
+    }
+
+    #[test]
+    fn a_yield_reopens_the_data_plane_and_keeps_the_admin_plane_shut() {
+        let net = Network::new();
+        net.register("svc", Rc::new(Repairing { net: net.clone() }));
+        // No yielder: no quantum, and yielding serves nothing.
+        assert_eq!(net.repair_quantum(), None);
+        net.yield_to_pending("svc");
+
+        let fg = Rc::new(Foreground {
+            net: net.clone(),
+            seen: RefCell::new(Vec::new()),
+        });
+        net.set_yielder(Rc::downgrade(&(fg.clone() as Rc<dyn Yield>)));
+        assert_eq!(net.repair_quantum(), Some(Duration::ZERO));
+
+        let resp = net.deliver(&get("svc", "/pass")).unwrap();
+        // Mid-request, the yield let a data-plane request in and kept
+        // refusing the admin plane...
+        assert_eq!(*fg.seen.borrow(), vec!["/fg", "admin refused"]);
+        // ...and afterwards the host is busy with its request again.
+        assert!(resp.body.str_of("error").contains("re-entrant"), "{resp:?}");
+        // Once the request is done, both planes are free.
+        assert!(net.deliver(&get("svc", "/x")).is_ok());
+        assert!(net
+            .deliver_admin(&get("svc", "/aire/v1/admin/stats"))
+            .is_ok());
+
+        // A dead yielder is no yielder.
+        drop(fg);
+        assert_eq!(net.repair_quantum(), None);
     }
 
     //////// Remote peers (the Transport seam). ////////

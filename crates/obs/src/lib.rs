@@ -395,6 +395,11 @@ pub struct MetricsRegistry {
     pub store_budget_overruns_total: Counter,
     /// Spans evicted from the ring (mirrored at snapshot time).
     pub spans_dropped_total: Counter,
+    /// Times a local-repair pass suspended between quanta to let the
+    /// serve loop run.
+    pub repair_yields_total: Counter,
+    /// Normal requests executed while a local-repair pass was suspended.
+    pub served_during_repair_total: Counter,
     /// Current repair-queue depth.
     pub queue_depth: Gauge,
     /// Rows in the taint graph.
@@ -416,9 +421,12 @@ pub struct MetricsRegistry {
     pub dispatch_latency_micros: Histogram,
     /// Taint-closure sizes computed by selective repair, rows.
     pub taint_closure_size: Histogram,
-    /// Wall-clock duration of each local-repair pass, µs — how long the
-    /// service was busy repairing instead of serving.
+    /// Busy time of each local-repair pass (the sum of its quanta), µs
+    /// — how long the service spent repairing instead of serving.
     pub repair_pass_micros: Histogram,
+    /// Wall-clock duration of each quantum a pass ran between yields,
+    /// µs (one per pass when nothing is yielded to).
+    pub repair_quantum_micros: Histogram,
     /// Wall-clock duration of each action re-executed inside a pass
     /// (handler, write reconciliation, log update), µs.
     pub repair_reexec_micros: Histogram,
@@ -444,6 +452,8 @@ impl MetricsRegistry {
             store_budget_compactions_total: Counter::default(),
             store_budget_overruns_total: Counter::default(),
             spans_dropped_total: Counter::default(),
+            repair_yields_total: Counter::default(),
+            served_during_repair_total: Counter::default(),
             queue_depth: Gauge::default(),
             taint_rows: Gauge::default(),
             taint_read_edges: Gauge::default(),
@@ -455,6 +465,7 @@ impl MetricsRegistry {
             dispatch_latency_micros: Histogram::new(LATENCY_BOUNDS_MICROS),
             taint_closure_size: Histogram::new(CLOSURE_BOUNDS),
             repair_pass_micros: Histogram::new(REPAIR_BOUNDS_MICROS),
+            repair_quantum_micros: Histogram::new(REPAIR_BOUNDS_MICROS),
             repair_reexec_micros: Histogram::new(REPAIR_BOUNDS_MICROS),
         }
     }
@@ -518,6 +529,14 @@ impl MetricsRegistry {
             "aire_trace_spans_dropped_total".into(),
             self.spans_dropped_total.get(),
         );
+        c.insert(
+            "aire_repair_yields_total".into(),
+            self.repair_yields_total.get(),
+        );
+        c.insert(
+            "aire_served_during_repair_total".into(),
+            self.served_during_repair_total.get(),
+        );
         let g = &mut s.gauges;
         g.insert("aire_queue_depth".into(), self.queue_depth.get());
         g.insert("aire_taint_rows".into(), self.taint_rows.get());
@@ -544,6 +563,10 @@ impl MetricsRegistry {
         s.histograms.insert(
             "aire_repair_pass_micros".into(),
             self.repair_pass_micros.snapshot(),
+        );
+        s.histograms.insert(
+            "aire_repair_quantum_micros".into(),
+            self.repair_quantum_micros.snapshot(),
         );
         s.histograms.insert(
             "aire_repair_reexec_micros".into(),

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use aire_http::frame::{self, FrameHeader, FrameKind, HEADER_LEN, NO_SHARD_HINT, NO_TRACE};
 use aire_http::HttpRequest;
-use aire_net::{Certificate, Network, NodeDispatch};
+use aire_net::{Certificate, Network, NodeDispatch, Yield};
 use aire_types::{AireError, Jv};
 
 use crate::Pump;
@@ -24,6 +24,15 @@ use crate::Pump;
 /// against a dial's connect + validation cost — and a server with no
 /// connections at all accepts on every pump.
 const ACCEPT_INTERVAL: Duration = Duration::from_micros(25);
+
+/// How long a local-repair pass hosted here runs before yielding to this
+/// serve loop, which then serves the pending normal requests for the
+/// repairing service (the node installs itself as its network's
+/// [`Yield`]er at bind). A foreground request waits behind a pass for
+/// about one quantum (plus the action in progress), not for the whole
+/// pass; each yield costs one pump. See `docs/ARCHITECTURE.md`, "Repair
+/// beside live traffic".
+const REPAIR_QUANTUM: Duration = Duration::from_millis(1);
 
 /// Default time an accepted connection may sit idle (greeting flushed,
 /// no request in flight, nothing buffered) before the server closes it.
@@ -208,23 +217,30 @@ impl NodeServer {
         let hello =
             frame::encode_frame(FrameKind::Hello, 0, NO_SHARD_HINT, NO_TRACE, &hello_payload)
                 .expect("certificate greetings fit any frame cap");
-        Ok(NodeServer {
-            inner: Rc::new(NodeInner {
-                net,
-                hosts,
-                hello,
-                idle_timeout: DEFAULT_CONN_IDLE_TIMEOUT,
-                data,
-                admin,
-                conns: RefCell::new(VecDeque::new()),
-                last_accept: Cell::new(Instant::now() - ACCEPT_INTERVAL),
-                shutdown: Cell::new(false),
-                dispatch,
-                tickets: RefCell::new(HashMap::new()),
-                next_ticket: Cell::new(1),
-                next_conn_id: Cell::new(1),
-            }),
-        })
+        let inner = Rc::new(NodeInner {
+            net,
+            hosts,
+            hello,
+            idle_timeout: DEFAULT_CONN_IDLE_TIMEOUT,
+            data,
+            admin,
+            conns: RefCell::new(VecDeque::new()),
+            last_accept: Cell::new(Instant::now() - ACCEPT_INTERVAL),
+            shutdown: Cell::new(false),
+            dispatch,
+            tickets: RefCell::new(HashMap::new()),
+            next_ticket: Cell::new(1),
+            next_conn_id: Cell::new(1),
+        });
+        // Shard workers own their networks and install no yielder, so
+        // their passes stay atomic; here the hosted controllers' passes
+        // yield to this loop between quanta.
+        if inner.dispatch.is_none() {
+            inner
+                .net
+                .set_yielder(Rc::downgrade(&(inner.clone() as Rc<dyn Yield>)));
+        }
+        Ok(NodeServer { inner })
     }
 
     /// The bound data-plane address (useful after binding port 0).
@@ -361,6 +377,16 @@ impl Pump for NodeInner {
             }
         }
         progressed
+    }
+}
+
+impl Yield for NodeInner {
+    fn quantum(&self) -> Duration {
+        REPAIR_QUANTUM
+    }
+
+    fn serve_pending(&self, _host: &str) {
+        self.pump_once();
     }
 }
 

@@ -11,13 +11,17 @@
 //! repair messages remember the context of the pass that enqueued them
 //! even when the pump (which has no ambient context) delivers them.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::rc::Rc;
+use std::time::Duration;
 
 use aire::apps::policy::{ADMIN_HEADER, ADMIN_SECRET};
 use aire::core::admin::{AdminOp, AdminResponse};
 use aire::core::protocol::{RepairMessage, RepairOp};
 use aire::core::{ControllerConfig, World};
-use aire::http::{Headers, Status};
+use aire::http::{Headers, HttpRequest, Status, Url};
+use aire::net::{Network, Yield};
 use aire::obs::{render_prometheus, MetricsSnapshot, Span, TraceContext, TRACE_HEADER};
 use aire::types::Jv;
 use aire::workload::scenarios::askbot_attack::{self, AskbotScenario, AskbotWorkload, SERVICES};
@@ -34,6 +38,11 @@ fn small() -> AskbotWorkload {
 /// recovery as a *traced driver*: the delete carrier carries a minted
 /// root context, and the pump propagates repair to quiescence.
 fn traced_recovery() -> (AskbotScenario, TraceContext) {
+    traced_recovery_with(|_| {})
+}
+
+/// [`traced_recovery`], with `prepare` run on the attacked world first.
+fn traced_recovery_with(prepare: impl FnOnce(&World)) -> (AskbotScenario, TraceContext) {
     let s = askbot_attack::setup_with(
         &small(),
         ControllerConfig {
@@ -41,6 +50,7 @@ fn traced_recovery() -> (AskbotScenario, TraceContext) {
             ..ControllerConfig::default()
         },
     );
+    prepare(&s.world);
     let root = TraceContext {
         trace_id: 0xA12E,
         span_id: 1,
@@ -157,6 +167,9 @@ fn merged_exposition_parses_and_covers_the_operator_series() {
         "aire_dispatch_latency_micros",
         "aire_repair_pass_micros",
         "aire_repair_reexec_micros",
+        "aire_repair_quantum_micros",
+        "aire_repair_yields_total",
+        "aire_served_during_repair_total",
     ] {
         assert!(text.contains(needed), "exposition lacks {needed}:\n{text}");
     }
@@ -211,4 +224,81 @@ fn merged_exposition_parses_and_covers_the_operator_series() {
         trace.encode() + "\n",
     )
     .expect("write OBS_trace_sample.json");
+}
+
+/// Yields askbot's pass after every action; each yield serves one traced
+/// foreground read under a trace of its own.
+struct TracedReader {
+    net: Network,
+    turns: Cell<u64>,
+}
+
+const READER_TRACE: u64 = 0xF0F0;
+
+impl Yield for TracedReader {
+    fn quantum(&self) -> Duration {
+        Duration::ZERO
+    }
+
+    fn serve_pending(&self, host: &str) {
+        if host != "askbot" {
+            return;
+        }
+        let k = self.turns.get() + 1;
+        self.turns.set(k);
+        let mut read = HttpRequest::get(Url::service("askbot", "/questions/2"));
+        let ctx = TraceContext {
+            trace_id: READER_TRACE,
+            span_id: k,
+        };
+        read.headers.set(TRACE_HEADER, ctx.wire());
+        let resp = self.net.deliver(&read).unwrap();
+        assert_eq!(resp.status, Status::OK, "{resp:?}");
+    }
+}
+
+#[test]
+fn yields_keep_the_repair_tree_whole_and_foreground_traces_apart() {
+    let (blocking, _) = traced_recovery();
+    let mut reader = None;
+    let (s, root) = traced_recovery_with(|world| {
+        let r = Rc::new(TracedReader {
+            net: world.net().clone(),
+            turns: Cell::new(0),
+        });
+        world
+            .net()
+            .set_yielder(Rc::downgrade(&(r.clone() as Rc<dyn Yield>)));
+        reader = Some(r);
+    });
+    let turns = reader.expect("installed").turns.get();
+    assert!(turns > 0, "askbot's pass must yield");
+    let (spans, dropped) = dump_spans(&s.world);
+    assert_eq!(dropped, 0);
+
+    // Every foreground read hangs off its own root, never off the pass.
+    let (fg, repair): (Vec<&Span>, Vec<&Span>) =
+        spans.iter().partition(|sp| sp.trace_id == READER_TRACE);
+    assert_eq!(fg.len() as u64, turns);
+    for span in &fg {
+        assert_eq!(span.name, "receive");
+        assert!((1..=turns).contains(&span.parent_span), "{span:?}");
+    }
+    // The repair's own tree is whole: the same spans the blocking pass
+    // records, every one parented inside the driver's tree.
+    let (blocking_spans, _) = dump_spans(&blocking.world);
+    assert_eq!(repair.len(), blocking_spans.len());
+    let ids: BTreeSet<u64> = repair.iter().map(|sp| sp.span_id).collect();
+    for span in &repair {
+        assert_eq!(span.trace_id, root.trace_id, "{span:?}");
+        assert!(
+            span.parent_span == root.span_id || ids.contains(&span.parent_span),
+            "orphan span: {span:?}"
+        );
+    }
+    // Tracing and yielding touch no recorded state.
+    assert_eq!(s.world.state_digest(), blocking.world.state_digest());
+    let merged = merged_metrics(&s.world);
+    assert_eq!(merged.counters["aire_served_during_repair_total"], turns);
+    assert!(merged.counters["aire_repair_yields_total"] >= turns);
 }

@@ -55,6 +55,18 @@ fn node(
     peers: &[(String, SocketAddr, SocketAddr)],
     cert_serial: Option<u64>,
 ) -> SpawnedNode {
+    node_with_workers(services, data, admin, peers, cert_serial, None)
+}
+
+/// [`node`], optionally pinning `--workers` over `AIRE_NODED_EXTRA_ARGS`.
+fn node_with_workers(
+    services: &[&str],
+    data: SocketAddr,
+    admin: SocketAddr,
+    peers: &[(String, SocketAddr, SocketAddr)],
+    cert_serial: Option<u64>,
+    workers: Option<usize>,
+) -> SpawnedNode {
     let exe = locate_example("aire_noded").expect("cargo test builds the aire_noded example");
     spawn_node(
         &exe,
@@ -64,7 +76,7 @@ fn node(
         peers,
         180,
         cert_serial,
-        None,
+        workers,
         None,
         false,
     )
@@ -74,6 +86,10 @@ fn node(
 /// Spawns the full three-service cluster, every node peered with the
 /// other two.
 fn spawn_cluster() -> Vec<SpawnedNode> {
+    spawn_cluster_with_workers(None)
+}
+
+fn spawn_cluster_with_workers(workers: Option<usize>) -> Vec<SpawnedNode> {
     let addrs: Vec<(&str, (SocketAddr, SocketAddr))> = askbot_attack::SERVICES
         .iter()
         .map(|s| (*s, free_addrs()))
@@ -86,7 +102,7 @@ fn spawn_cluster() -> Vec<SpawnedNode> {
                 .filter(|(p, _)| p != name)
                 .map(|(p, (d, a))| (p.to_string(), *d, *a))
                 .collect();
-            node(&[name], *data, *admin, &peers, None)
+            node_with_workers(&[name], *data, *admin, &peers, None, workers)
         })
         .collect()
 }
@@ -558,6 +574,117 @@ fn figure4_recovery_stays_digest_identical_under_injected_faults() {
     ] {
         shutdown_node(admin_addr, Duration::from_secs(5))
             .unwrap_or_else(|e| panic!("shutting down {name}: {e}"));
+    }
+}
+
+/// Repair beside live traffic, over real sockets: while askbot's
+/// local-repair pass runs (a wire `run_local_repair` after the Figure 4
+/// incident), a reader thread keeps fetching question pages from it. The
+/// daemon's pass yields to its serve loop between quanta, so reads are
+/// served *during* the pass — none refused — and the recovered state is
+/// the in-process run's, digest for digest. Pinned to `--workers 1`:
+/// shard workers install no yielder, so their passes stay atomic.
+#[test]
+fn askbot_serves_readers_between_repair_quanta() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+    let workload = AskbotWorkload {
+        legit_users: 60,
+        questions_per_user: 5,
+        oauth_signups: 2,
+    };
+    let reference = askbot_attack::setup(&workload);
+    reference.world.set_repair_mode_all(RepairMode::Deferred);
+    askbot_attack::repair(&reference);
+    assert!(reference.world.settle().quiescent());
+    let expected = digests(&reference.world);
+    let expected_askbot_repairs = reference
+        .world
+        .controller("askbot")
+        .stats()
+        .repaired_requests;
+
+    let mut nodes = spawn_cluster_with_workers(Some(1));
+    let (world, _) = remote_world(&nodes);
+    let facts = askbot_attack::populate(&world, &workload);
+    world.set_repair_mode_all(RepairMode::Deferred);
+    askbot_attack::repair_with(&world, &facts.misconfig_request);
+    admin(&world, "oauth", AdminOp::RunLocalRepair);
+    admin(&world, "oauth", AdminOp::FlushQueue);
+    let pages: Vec<String> = (1..=20).map(|q| format!("/questions/{q}")).collect();
+    let pages: Vec<String> = pages
+        .into_iter()
+        .filter(|p| *p != format!("/questions/{}", facts.attack_question))
+        .collect();
+
+    // The reader: its own process-local world, one pooled connection.
+    let askbot = nodes.iter().find(|n| n.name == "askbot").unwrap();
+    let (data, admin_addr) = (askbot.data, askbot.admin);
+    let (started, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+    let (reads, refused) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let actions = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut reader = World::new();
+            reader.add_remote(
+                "askbot",
+                Rc::new(
+                    TcpTransport::new("askbot", data, admin_addr)
+                        .with_timeouts(Duration::from_millis(500), Duration::from_secs(30)),
+                ),
+            );
+            for page in pages.iter().cycle() {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let url = aire::http::Url::service("askbot", page.as_str());
+                match reader.deliver(&aire::http::HttpRequest::get(url)) {
+                    Ok(resp) if resp.status.is_success() => {
+                        reads.fetch_add(1, Ordering::SeqCst);
+                    }
+                    _ => {
+                        refused.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                started.store(true, Ordering::SeqCst);
+            }
+        });
+        while !started.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let AdminResponse::Repaired { actions } = admin(&world, "askbot", AdminOp::RunLocalRepair)
+        else {
+            panic!("repair response");
+        };
+        stop.store(true, Ordering::SeqCst);
+        actions
+    });
+    assert!(actions > 0, "askbot's pass must process the incident");
+    assert!(reads.load(Ordering::SeqCst) > 0);
+    assert_eq!(refused.load(Ordering::SeqCst), 0, "no read may be refused");
+    let AdminResponse::Metrics { snapshot } = admin(&world, "askbot", AdminOp::MetricsSnapshot)
+    else {
+        panic!("metrics response");
+    };
+    let served = snapshot.counters["aire_served_during_repair_total"];
+    assert!(
+        served > 0,
+        "reads must be served between quanta: {snapshot:?}"
+    );
+    assert!(snapshot.counters["aire_repair_yields_total"] >= served);
+
+    assert!(world.settle().quiescent());
+    assert_eq!(digests(&world), expected, "recovery beside readers");
+    let AdminResponse::Stats(stats) = admin(&world, "askbot", AdminOp::Stats) else {
+        panic!("stats response");
+    };
+    assert_eq!(
+        stats.stats.repaired_requests, expected_askbot_repairs,
+        "detail reads between quanta are never pulled into the pass"
+    );
+
+    for node in &mut nodes {
+        shutdown_node(node.admin, Duration::from_secs(5)).unwrap();
+        node.wait_success().unwrap();
     }
 }
 
