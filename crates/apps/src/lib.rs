@@ -32,6 +32,8 @@
 //!   behind real TCP listeners, dialling its peers over
 //!   `aire-transport` (the paper's per-service Django deployments).
 
+#![deny(unsafe_code)]
+
 pub mod apis;
 pub mod askbot;
 pub mod company;

@@ -57,7 +57,7 @@ use aire_core::{
 };
 use aire_net::{Certificate, Network};
 use aire_obs::{render_prometheus, MetricsSnapshot};
-use aire_transport::{NodeServer, Pump, ServeOutcome, TcpTransport};
+use aire_transport::{NodeServer, Pump, ServeOutcome, TcpTransport, Watch};
 use aire_web::App;
 
 /// Every unit-constructible application a node can host, by service
@@ -472,6 +472,10 @@ struct WorkerJobPump(WorkerPump);
 impl Pump for WorkerJobPump {
     fn pump_once(&self) -> bool {
         self.0.pump_once()
+    }
+
+    fn watch(&self, watch: &mut Watch) {
+        watch.read(&self.0.wake_fd());
     }
 }
 
@@ -1101,5 +1105,173 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("not a number"), "{err}");
+    }
+}
+
+/// The sharded runtime waits on readiness too: a completion wakes the
+/// serve loop through the shard front's bell, and a job wakes a worker
+/// blocked on a peer call through its queue's bell.
+#[cfg(test)]
+mod readiness_tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    use aire_http::{HttpRequest, HttpResponse, Status, Url};
+    use aire_net::{Endpoint, Transport};
+    use aire_transport::shutdown_node;
+    use aire_types::Jv;
+
+    /// Half of the transport's readiness tick (500 µs): a waiter that
+    /// woke only on its tick would answer slower than this in median.
+    const HALF_TICK: Duration = Duration::from_micros(250);
+
+    struct Echo;
+
+    impl Endpoint for Echo {
+        fn handle(&self, _req: &HttpRequest) -> HttpResponse {
+            HttpResponse::ok(Jv::Null)
+        }
+    }
+
+    fn echo() -> HttpRequest {
+        HttpRequest::get(Url::service("echo", "/"))
+    }
+
+    /// Median time of `n` calls, each made after 2 ms of silence. The
+    /// silence is stretched by a varying fraction of a tick, so the calls
+    /// do not phase-lock onto a waiter's tick and hide a missed wake-up.
+    fn idle_median(n: usize, mut call: impl FnMut()) -> Duration {
+        let mut took: Vec<Duration> = (0..n)
+            .map(|i| {
+                let spread = Duration::from_micros((i as u64 * 137) % 500);
+                std::thread::sleep(Duration::from_millis(2) + spread);
+                let start = Instant::now();
+                call();
+                start.elapsed()
+            })
+            .collect();
+        took.sort();
+        took[n / 2]
+    }
+
+    fn launch(setup: aire_core::SetupHook) -> ShardedRuntime {
+        let apps: aire_core::AppFactory = Arc::new(Vec::new);
+        ShardedRuntime::launch(ShardSpec {
+            workers: 2,
+            config: ControllerConfig::default(),
+            apps,
+            setup,
+        })
+    }
+
+    #[test]
+    fn an_idle_sharded_node_wakes_on_a_completion_not_on_its_tick() {
+        let (tx, rx) = mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let runtime = launch(Arc::new(|ws: WorkerSetup| {
+                ws.net.register("echo", Rc::new(Echo));
+                Box::new(())
+            }));
+            let cert = Certificate {
+                subject: "echo".into(),
+                serial: 1,
+            };
+            let node = NodeServer::bind_sharded(
+                Network::new(),
+                vec![("echo".into(), cert)],
+                "127.0.0.1:0",
+                "127.0.0.1:0",
+                runtime.front(),
+            )
+            .unwrap();
+            tx.send((node.data_addr(), node.admin_addr())).unwrap();
+            let outcome = node.serve(Some(Instant::now() + Duration::from_secs(60)));
+            runtime.shutdown();
+            outcome
+        });
+        let (data, admin) = rx.recv().unwrap();
+        let dialer = TcpTransport::new("echo", data, admin);
+        for _ in 0..20 {
+            dialer.call(&echo()).unwrap();
+        }
+        let median = idle_median(200, || {
+            dialer.call(&echo()).unwrap();
+        });
+        shutdown_node(admin, Duration::from_secs(5)).unwrap();
+        assert_eq!(server.join().unwrap(), ServeOutcome::Shutdown);
+        assert!(median < HALF_TICK, "median idle round trip {median:?}");
+    }
+
+    /// Answers only once released: a peer busy with a long call.
+    struct Slow {
+        started: mpsc::Sender<()>,
+        release: mpsc::Receiver<()>,
+    }
+
+    impl Endpoint for Slow {
+        fn handle(&self, _req: &HttpRequest) -> HttpResponse {
+            self.started.send(()).unwrap();
+            self.release.recv().unwrap();
+            HttpResponse::ok(Jv::Null)
+        }
+    }
+
+    /// Calls the slow peer through its worker's network.
+    struct Caller(Network);
+
+    impl Endpoint for Caller {
+        fn handle(&self, _req: &HttpRequest) -> HttpResponse {
+            self.0
+                .deliver(&HttpRequest::get(Url::service("slow", "/")))
+                .unwrap_or_else(|e| HttpResponse::error(Status::UNAVAILABLE, e.to_string()))
+        }
+    }
+
+    #[test]
+    fn a_worker_blocked_on_a_peer_call_wakes_for_a_job_routed_to_it() {
+        let (started_tx, started) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
+        let peer = std::thread::spawn(move || {
+            let net = Network::new();
+            let slow = Slow {
+                started: started_tx,
+                release: release_rx,
+            };
+            let cert = net.register("slow", Rc::new(slow));
+            let node = NodeServer::bind(net, "slow", cert, "127.0.0.1:0", "127.0.0.1:0").unwrap();
+            tx.send((node.data_addr(), node.admin_addr())).unwrap();
+            node.serve(Some(Instant::now() + Duration::from_secs(60)))
+        });
+        let (data, admin) = rx.recv().unwrap();
+        // `run_sharded`'s wiring: each worker dials its peers pumped by
+        // its own job queue.
+        let runtime = launch(Arc::new(move |ws: WorkerSetup| {
+            let pump: Rc<dyn Pump> = Rc::new(WorkerJobPump(ws.pump));
+            let t = Rc::new(TcpTransport::new("slow", data, admin));
+            t.set_pump(Rc::downgrade(&pump));
+            ws.net.register_remote("slow", t);
+            ws.net.register("caller", Rc::new(Caller(ws.net.clone())));
+            ws.net.register("echo", Rc::new(Echo));
+            Box::new(pump)
+        }));
+        let submitter = runtime.submitter();
+        let blocked = {
+            let s = submitter.clone();
+            std::thread::spawn(move || s.call(0, HttpRequest::get(Url::service("caller", "/"))))
+        };
+        started
+            .recv_timeout(Duration::from_secs(10))
+            .expect("worker 0 called the peer");
+        let median = idle_median(100, || {
+            submitter.call(0, echo()).unwrap();
+        });
+        release.send(()).unwrap();
+        let resp = blocked.join().unwrap().unwrap();
+        assert!(resp.status.is_success(), "{resp:?}");
+        shutdown_node(admin, Duration::from_secs(5)).unwrap();
+        assert_eq!(peer.join().unwrap(), ServeOutcome::Shutdown);
+        runtime.shutdown();
+        assert!(median < HALF_TICK, "median job wake-up {median:?}");
     }
 }

@@ -18,6 +18,8 @@
 //! every section as machine-readable JSON to `BENCH_report.json` at the
 //! repo root — the committed summary that CI regenerates and uploads.
 
+#![deny(unsafe_code)]
+
 use std::env;
 use std::rc::Rc;
 use std::time::Instant;

@@ -22,6 +22,8 @@
 //! file with a note rather than failing: a gate that cannot find its
 //! baseline has nothing to compare against.
 
+#![deny(unsafe_code)]
+
 use std::env;
 use std::process::Command;
 

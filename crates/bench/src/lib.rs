@@ -10,6 +10,8 @@
 //!   quantities statistically: `table4_overhead`, `table5_repair`,
 //!   `figures`, `ablations`, and `substrate` micro-benchmarks.
 
+#![deny(unsafe_code)]
+
 use aire_core::World;
 use aire_workload::scenarios::askbot_attack::{self, AskbotWorkload};
 use aire_workload::scenarios::ServiceRepairMetrics;

@@ -38,6 +38,7 @@
 //! operator (or a controller in another process) would.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 use std::cell::RefCell;
 use std::collections::HashMap;

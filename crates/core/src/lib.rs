@@ -120,6 +120,8 @@
 //! assert_eq!(after.status, Status::NOT_FOUND);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod admin;
 pub mod bare;
 pub mod controller;

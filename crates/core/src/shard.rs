@@ -36,12 +36,20 @@
 //! while a worker waits on an outgoing TCP call, its transports pump
 //! the worker's own job queue ([`WorkerPump`]), so a nested callback
 //! routed to the dialing worker cannot deadlock it.
+//!
+//! Both channels a waiter may block beside a socket — the completion
+//! channel the serve loop drains and each worker's job queue — carry a
+//! self-pipe (`Bell`) rung after every send, so the waiter blocks on
+//! the pipe's descriptor in the same readiness wait as its sockets.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
+use std::io::{Read, Write};
+use std::os::fd::{AsFd, BorrowedFd};
+use std::os::unix::net::UnixStream;
 use std::rc::Rc;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, SendError, Sender};
 use std::sync::{Arc, Barrier, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -68,7 +76,7 @@ enum Job {
         ticket: u64,
         part: Option<usize>,
         barrier: Option<Arc<Barrier>>,
-        done: Sender<Done>,
+        done: Ringing<Done>,
     },
     /// A still-encoded data-plane payload that arrived with a valid
     /// shard hint: the worker decodes it on its own core, which is the
@@ -76,7 +84,7 @@ enum Job {
     Raw {
         payload: Vec<u8>,
         ticket: u64,
-        done: Sender<Done>,
+        done: Ringing<Done>,
     },
     /// Stop the worker loop.
     Shutdown,
@@ -89,10 +97,67 @@ struct Done {
     result: AireResult<HttpResponse>,
 }
 
+/// A self-pipe: rung after a send on the channel it guards, readable
+/// until silenced, so whoever drains that channel can block on its
+/// descriptor beside sockets. Ringing never blocks — a full pipe is
+/// already readable.
+struct Bell {
+    tx: UnixStream,
+    rx: UnixStream,
+}
+
+impl Bell {
+    fn new() -> Arc<Bell> {
+        let (tx, rx) = UnixStream::pair().expect("socketpair for a shard bell");
+        tx.set_nonblocking(true).expect("nonblocking bell");
+        rx.set_nonblocking(true).expect("nonblocking bell");
+        Arc::new(Bell { tx, rx })
+    }
+
+    fn ring(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Empties the pipe. Call it *before* draining the guarded channel:
+    /// a send that lands after the drain then still leaves it readable.
+    fn silence(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
+    }
+}
+
+/// A channel's sending half that rings the receiver's [`Bell`], if it
+/// has one, after every send.
+struct Ringing<T> {
+    tx: Sender<T>,
+    bell: Option<Arc<Bell>>,
+}
+
+impl<T> Clone for Ringing<T> {
+    fn clone(&self) -> Self {
+        Ringing {
+            tx: self.tx.clone(),
+            bell: self.bell.clone(),
+        }
+    }
+}
+
+impl<T> Ringing<T> {
+    fn send(&self, value: T) -> Result<(), SendError<T>> {
+        self.tx.send(value)?;
+        if let Some(bell) = &self.bell {
+            bell.ring();
+        }
+        Ok(())
+    }
+}
+
 /// What a worker thread shares with its own transports' pump handle.
 struct WorkerShared {
     net: Network,
     jobs: Receiver<Job>,
+    /// Rung by every job sent to this worker.
+    bell: Arc<Bell>,
     stopped: Cell<bool>,
 }
 
@@ -159,6 +224,7 @@ impl WorkerPump {
     /// Processes one queued job if any is waiting; returns whether one
     /// was processed. Never blocks.
     pub fn pump_once(&self) -> bool {
+        self.shared.bell.silence();
         match self.shared.jobs.try_recv() {
             Ok(job) => {
                 self.shared.process(job);
@@ -166,6 +232,12 @@ impl WorkerPump {
             }
             Err(_) => false,
         }
+    }
+
+    /// A descriptor that turns readable when a job is sent to this
+    /// worker; [`WorkerPump::pump_once`] rearms it.
+    pub fn wake_fd(&self) -> BorrowedFd<'_> {
+        self.shared.bell.rx.as_fd()
     }
 }
 
@@ -239,14 +311,16 @@ enum Pending {
 /// server and [`Endpoint`] for in-process (test/bench) use.
 pub struct ShardFront {
     workers: usize,
-    senders: Vec<Sender<Job>>,
+    senders: Vec<Ringing<Job>>,
     /// The submission gate: normal submissions hold a read lock (a
     /// group of sends under one guard is atomic w.r.t. fan-outs);
     /// fan-outs hold the write lock while their markers enter every
     /// worker FIFO, defining the consistent cut.
     gate: Arc<RwLock<()>>,
-    done_tx: Sender<Done>,
+    /// Rings the completion bell after every send.
+    done_tx: Ringing<Done>,
     done_rx: Receiver<Done>,
+    done_bell: Arc<Bell>,
     /// Routing copies of the hosted apps (shard-key extraction only —
     /// these never execute).
     apps: HashMap<String, Rc<dyn App>>,
@@ -271,18 +345,23 @@ impl ShardedRuntime {
     pub fn launch(spec: ShardSpec) -> ShardedRuntime {
         let workers = spec.workers.max(1);
         let (done_tx, done_rx) = channel();
+        let done_bell = Bell::new();
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for shard in 0..workers {
             let (tx, rx) = channel();
-            senders.push(tx);
+            let bell = Bell::new();
+            senders.push(Ringing {
+                tx,
+                bell: Some(bell.clone()),
+            });
             let config = spec.config.clone();
             let apps = spec.apps.clone();
             let setup = spec.setup.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("aire-shard-{shard}"))
-                    .spawn(move || worker_main(shard, workers, config, apps, setup, rx))
+                    .spawn(move || worker_main(shard, workers, config, apps, setup, rx, bell))
                     .expect("spawn shard worker"),
             );
         }
@@ -300,8 +379,12 @@ impl ShardedRuntime {
                 workers,
                 senders,
                 gate: Arc::new(RwLock::new(())),
-                done_tx,
+                done_tx: Ringing {
+                    tx: done_tx,
+                    bell: Some(done_bell.clone()),
+                },
                 done_rx,
+                done_bell,
                 apps,
                 sharded,
                 pending: RefCell::new(HashMap::new()),
@@ -356,11 +439,13 @@ fn worker_main(
     apps: AppFactory,
     setup: SetupHook,
     jobs: Receiver<Job>,
+    bell: Arc<Bell>,
 ) {
     let net = Network::new();
     let shared = Rc::new(WorkerShared {
         net: net.clone(),
         jobs,
+        bell,
         stopped: Cell::new(false),
     });
     // Build each hosted service's observability plane up front: the
@@ -413,7 +498,7 @@ fn worker_main(
 /// that need several OS threads submitting concurrently.
 #[derive(Clone)]
 pub struct ShardSubmitter {
-    senders: Vec<Sender<Job>>,
+    senders: Vec<Ringing<Job>>,
     gate: Arc<RwLock<()>>,
 }
 
@@ -431,7 +516,9 @@ impl ShardSubmitter {
     /// it). Blocks until every request completes; results are in input
     /// order.
     pub fn call_group(&self, reqs: Vec<(usize, HttpRequest)>) -> Vec<AireResult<HttpResponse>> {
+        // This thread blocks in `recv`, so its reply channel needs no bell.
         let (tx, rx) = channel();
+        let done = Ringing { tx, bell: None };
         let total = reqs.len();
         let mut results: Vec<Option<AireResult<HttpResponse>>> = (0..total).map(|_| None).collect();
         {
@@ -445,7 +532,7 @@ impl ShardSubmitter {
                         ticket: i as u64,
                         part: None,
                         barrier: None,
-                        done: tx.clone(),
+                        done: done.clone(),
                     })
                     .is_err()
                 {
@@ -453,7 +540,7 @@ impl ShardSubmitter {
                 }
             }
         }
-        drop(tx);
+        drop(done);
         while results.iter().any(Option::is_none) {
             match rx.recv() {
                 Ok(done) => results[done.ticket as usize] = Some(done.result),
@@ -811,6 +898,7 @@ impl ShardFront {
     }
 
     fn drain_done(&self) {
+        self.done_bell.silence();
         while let Ok(done) = self.done_rx.try_recv() {
             self.absorb(done);
         }
@@ -868,6 +956,10 @@ impl NodeDispatch for ShardFront {
     fn poll(&self) -> Vec<(u64, AireResult<HttpResponse>)> {
         self.drain_done();
         self.ready.borrow_mut().drain(..).collect()
+    }
+
+    fn wake_fd(&self) -> BorrowedFd<'_> {
+        self.done_bell.rx.as_fd()
     }
 }
 

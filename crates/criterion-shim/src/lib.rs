@@ -10,6 +10,8 @@
 //! iteration. It performs no statistical analysis, outlier rejection, or
 //! HTML reporting; numbers from it are indicative, not rigorous.
 
+#![deny(unsafe_code)]
+
 use std::fmt;
 use std::hint;
 use std::time::{Duration, Instant};

@@ -20,6 +20,8 @@
 //!
 //! [`Jv`]: aire_types::Jv
 
+#![deny(unsafe_code)]
+
 pub mod aire;
 pub mod cookie;
 pub mod frame;

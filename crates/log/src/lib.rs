@@ -18,6 +18,8 @@
 //! * Byte accounting (raw and LZSS-compressed) for Table 4's
 //!   per-request log-size columns, and garbage collection (§9).
 
+#![deny(unsafe_code)]
+
 pub mod record;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};

@@ -46,9 +46,12 @@
 //! traffic numbers therefore have one source of truth whether the
 //! deployment is in-process or multi-process.
 
+#![deny(unsafe_code)]
+
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::os::fd::BorrowedFd;
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
@@ -141,6 +144,11 @@ pub trait NodeDispatch {
     /// Collects every completed submission: `(ticket, result)` pairs,
     /// at most one per submitted ticket, in completion order.
     fn poll(&self) -> Vec<(u64, AireResult<HttpResponse>)>;
+
+    /// A descriptor that turns readable when a submission completes —
+    /// the server blocks on it beside its sockets instead of calling
+    /// [`poll`](NodeDispatch::poll) on a timer. `poll` rearms it.
+    fn wake_fd(&self) -> BorrowedFd<'_>;
 }
 
 /// Serving pending traffic between the quanta of a long local-repair

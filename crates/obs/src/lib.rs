@@ -29,6 +29,7 @@
 //! [`merge`]: MetricsSnapshot::merge
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};

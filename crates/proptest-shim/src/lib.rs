@@ -18,6 +18,8 @@
 //! stderr. Every run is deterministic (the RNG is seeded from the
 //! test's name), so a rerun reproduces the failing case exactly.
 
+#![deny(unsafe_code)]
+
 /// Deterministic SplitMix64 generator driving all value generation.
 #[derive(Debug, Clone)]
 pub struct TestRng {

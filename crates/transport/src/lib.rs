@@ -46,8 +46,10 @@
 //!
 //! The solution is cooperative: [`TcpTransport`] optionally carries a
 //! [`Pump`] handle to its node's [`NodeServer`]; while an outgoing call
-//! waits for bytes, it repeatedly gives the server a chance to accept
-//! and serve incoming traffic on the same thread. Recursion replaces
+//! waits for bytes, it gives the server a chance to accept and serve
+//! incoming traffic on the same thread, and when neither side has work
+//! it blocks on the readiness of its own socket *and* the server's (see
+//! [`Pump::watch`]), so whichever moves first wakes it. Recursion replaces
 //! threads; the `Network`'s per-host in-flight guards supply exactly the
 //! same re-entrancy refusals as in-process delivery, so the semantics do
 //! not fork between the two deployments. (This also makes single-thread
@@ -101,26 +103,42 @@
 //! the transport's.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub use aire_http::frame;
 pub use aire_net::{Certificate, Endpoint, InProcess, Network, Transport};
 
 pub mod chaos;
+mod ready;
 mod server;
 mod tcp;
 
+pub use ready::Watch;
 pub use server::{NodeServer, ServeOutcome, DEFAULT_CONN_IDLE_TIMEOUT};
 pub use tcp::{
     shutdown_node, PoolStats, TcpTransport, DEFAULT_CONNECT_TIMEOUT, DEFAULT_IO_TIMEOUT,
-    DEFAULT_POOL_IDLE_TIMEOUT, DEFAULT_POOL_MAX_IDLE, PIPELINE_DEPTH,
+    DEFAULT_POOL_IDLE_TIMEOUT, DEFAULT_POOL_MAX_IDLE, DIAL_BACKOFF_BASE, DIAL_BACKOFF_CAP,
+    PIPELINE_DEPTH,
 };
 
 /// Something that can make progress on a node's listeners while an
 /// outgoing call waits for its peer — the cooperative-scheduling seam
 /// between [`TcpTransport`] and [`NodeServer`].
+///
+/// The contract is a pair: a waiter calls [`pump_once`](Pump::pump_once)
+/// until it reports no progress, then adds the pump's descriptors to its
+/// own with [`watch`](Pump::watch) and blocks until one of them is ready
+/// (never longer than one short tick). A pump whose work can arrive
+/// without any of its watched descriptors turning ready is found only by
+/// that tick.
 pub trait Pump {
     /// Accepts and advances pending connections once. Returns `true` if
-    /// any progress was made (bytes moved, a request dispatched); the
-    /// caller backs off briefly when nothing moved.
+    /// any progress was made (bytes moved, a request dispatched); when
+    /// it returns `false` the caller waits on [`Pump::watch`]'s
+    /// descriptors before pumping again.
     fn pump_once(&self) -> bool;
+
+    /// Adds the descriptors whose readiness means
+    /// [`pump_once`](Pump::pump_once) has work.
+    fn watch(&self, watch: &mut Watch);
 }

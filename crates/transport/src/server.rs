@@ -1,5 +1,6 @@
 //! The single-threaded node server: two listeners, one serve loop,
-//! any number of hosted services.
+//! any number of hosted services. When a pump finds no work, the loop
+//! blocks on the readiness of its own descriptors (see [`Pump::watch`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
@@ -13,6 +14,7 @@ use aire_http::HttpRequest;
 use aire_net::{Certificate, Network, NodeDispatch, Yield};
 use aire_types::{AireError, Jv};
 
+use crate::ready::{self, Watch};
 use crate::Pump;
 
 /// How long the serve loop may go between `accept` attempts while it
@@ -22,7 +24,8 @@ use crate::Pump;
 /// the steady-state (persistent connections, pooled dialers) off that
 /// cost. New connections wait at most this long to be greeted — noise
 /// against a dial's connect + validation cost — and a server with no
-/// connections at all accepts on every pump.
+/// connections at all accepts on every pump. (A waiter woken by a
+/// pending accept inside the interval re-pumps until it passes.)
 const ACCEPT_INTERVAL: Duration = Duration::from_micros(25);
 
 /// How long a local-repair pass hosted here runs before yielding to this
@@ -304,6 +307,7 @@ impl NodeServer {
     /// Runs the serve loop until a `Shutdown` frame arrives or
     /// `deadline` (if any) passes, then briefly drains pending replies.
     pub fn serve(&self, deadline: Option<Instant>) -> ServeOutcome {
+        let mut watch = Watch::default();
         let outcome = loop {
             if self.inner.shutdown.get() {
                 break ServeOutcome::Shutdown;
@@ -314,7 +318,7 @@ impl NodeServer {
                 }
             }
             if !self.inner.pump_once() {
-                std::thread::sleep(Duration::from_micros(500));
+                self.inner.idle_wait(&mut watch, deadline);
             }
         };
         // Flush whatever is still queued (notably the shutdown ack) for
@@ -331,7 +335,7 @@ impl NodeServer {
                 break;
             }
             if !self.inner.pump_once() {
-                std::thread::sleep(Duration::from_micros(500));
+                self.inner.idle_wait(&mut watch, Some(drain_until));
             }
         }
         outcome
@@ -341,6 +345,10 @@ impl NodeServer {
 impl Pump for NodeServer {
     fn pump_once(&self) -> bool {
         self.inner.pump_once()
+    }
+
+    fn watch(&self, watch: &mut Watch) {
+        self.inner.watch(watch);
     }
 }
 
@@ -378,6 +386,29 @@ impl Pump for NodeInner {
         }
         progressed
     }
+
+    /// Both listeners (until a shutdown stops accepting), the shard
+    /// runtime's completion bell, and every live connection: readable
+    /// unless a reply is still flushing (`advance` reads nothing then),
+    /// writable while output is pending. A connection mid-dispatch is
+    /// out of the queue, so a nested wait never watches it.
+    fn watch(&self, watch: &mut Watch) {
+        if !self.shutdown.get() {
+            watch.read(&self.data);
+            watch.read(&self.admin);
+        }
+        if let Some(d) = &self.dispatch {
+            watch.read(&d.wake_fd());
+        }
+        for conn in self.conns.borrow().iter() {
+            if !conn.responded {
+                watch.read(&conn.stream);
+            }
+            if conn.written < conn.outbuf.len() {
+                watch.write(&conn.stream);
+            }
+        }
+    }
 }
 
 impl Yield for NodeInner {
@@ -391,6 +422,21 @@ impl Yield for NodeInner {
 }
 
 impl NodeInner {
+    /// The serve loop's idle path: blocks until one of this node's
+    /// descriptors is ready, `deadline` passes or the next idle reap is
+    /// due — never longer than one tick.
+    fn idle_wait(&self, watch: &mut Watch, deadline: Option<Instant>) {
+        watch.clear();
+        self.watch(watch);
+        let next_reap = self
+            .conns
+            .borrow()
+            .iter()
+            .map(|c| c.last_activity + self.idle_timeout)
+            .min();
+        ready::wait(watch, deadline.into_iter().chain(next_reap).min());
+    }
+
     /// Collects every dispatch the shard workers have completed and
     /// queues each reply on its connection, echoing the request's id.
     /// Replies whose connection died while the worker ran are dropped,

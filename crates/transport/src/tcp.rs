@@ -13,7 +13,18 @@ use aire_http::{aire, HttpRequest, HttpResponse};
 use aire_net::{Certificate, Transport};
 use aire_types::{AireError, AireResult, Jv, RequestId, ServiceName};
 
+use crate::ready::{self, Watch};
 use crate::Pump;
+
+/// The dialer's idle path: blocks until a descriptor already in `watch`
+/// (the call's own stream), or one `pump` watches, is ready, or until
+/// `deadline` — never longer than one tick.
+fn idle_wait(watch: &mut Watch, pump: Option<&dyn Pump>, deadline: Instant) {
+    if let Some(p) = pump {
+        p.watch(watch);
+    }
+    ready::wait(watch, Some(deadline));
+}
 
 /// Default time allowed for a TCP connect before the peer is treated as
 /// unavailable (and the repair queues hold the message for retry).
@@ -484,6 +495,7 @@ impl TcpTransport {
         match self.active_pump() {
             Some(pump) => {
                 let deadline = Instant::now() + self.io_timeout;
+                let mut watch = Watch::default();
                 let mut done = 0;
                 while done < buf.len() {
                     match stream.write(&buf[done..]) {
@@ -494,7 +506,9 @@ impl TcpTransport {
                                 return Err(self.timeout());
                             }
                             if !pump.pump_once() {
-                                std::thread::sleep(Duration::from_micros(25));
+                                watch.clear();
+                                watch.write(&*stream);
+                                idle_wait(&mut watch, Some(&*pump), deadline);
                             }
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -528,6 +542,7 @@ impl TcpTransport {
                 .map_err(|e| AireError::Protocol(format!("socket setup failed: {e}")))?;
         }
         let deadline = Instant::now() + self.io_timeout;
+        let mut watch = Watch::default();
         let mut buf: Vec<u8> = Vec::with_capacity(4096);
         let mut chunk = [0u8; 4096];
         let mut header: Option<FrameHeader> = None;
@@ -582,7 +597,9 @@ impl TcpTransport {
                         return Err(self.timeout());
                     }
                     if !pump.as_ref().expect("checked").pump_once() {
-                        std::thread::sleep(Duration::from_micros(25));
+                        watch.clear();
+                        watch.read(&*stream);
+                        idle_wait(&mut watch, pump.as_deref(), deadline);
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -890,6 +907,7 @@ impl TcpTransport {
         let mut chunk = [0u8; 4096];
         let mut counted_reuse = false;
         let mut last_progress = Instant::now();
+        let mut watch = Watch::default();
         let died: Option<AireError> = 'conn: loop {
             while staged.len() < PIPELINE_DEPTH {
                 match queue.pop_front() {
@@ -990,16 +1008,17 @@ impl TcpTransport {
             if progress {
                 last_progress = Instant::now();
             } else {
-                if last_progress.elapsed() >= self.io_timeout {
+                let deadline = last_progress + self.io_timeout;
+                if Instant::now() >= deadline {
                     break 'conn Some(self.timeout());
                 }
-                match &pump {
-                    Some(p) => {
-                        if !p.pump_once() {
-                            std::thread::sleep(Duration::from_micros(25));
-                        }
+                if !pump.as_ref().is_some_and(|p| p.pump_once()) {
+                    watch.clear();
+                    watch.read(&stream);
+                    if flushed < wire.len() {
+                        watch.write(&stream);
                     }
-                    None => std::thread::sleep(Duration::from_micros(25)),
+                    idle_wait(&mut watch, pump.as_deref(), deadline);
                 }
             }
         };

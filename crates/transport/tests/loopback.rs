@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use aire_http::{HttpRequest, HttpResponse, Method, Status, Url};
 use aire_transport::{
-    frame, shutdown_node, Endpoint, Network, NodeServer, Pump, ServeOutcome, TcpTransport,
+    frame, shutdown_node, Endpoint, Network, NodeServer, Pump, ServeOutcome, TcpTransport, Watch,
 };
 use aire_types::{jv, AireError, Jv};
 
@@ -49,6 +49,12 @@ impl Pump for MultiPump {
             progressed |= s.pump_once();
         }
         progressed
+    }
+
+    fn watch(&self, watch: &mut Watch) {
+        for s in &self.servers {
+            s.watch(watch);
+        }
     }
 }
 

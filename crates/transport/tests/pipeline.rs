@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use aire_http::{HttpRequest, HttpResponse, Url};
 use aire_transport::chaos::{ChaosProxy, FaultPlan};
 use aire_transport::{
-    frame, Certificate, Endpoint, Network, NodeServer, Pump, TcpTransport, Transport,
+    frame, Certificate, Endpoint, Network, NodeServer, Pump, TcpTransport, Transport, Watch,
     PIPELINE_DEPTH,
 };
 use aire_types::{jv, AireError};
@@ -39,6 +39,10 @@ struct ServerPump {
 impl Pump for ServerPump {
     fn pump_once(&self) -> bool {
         self.server.pump_once()
+    }
+
+    fn watch(&self, watch: &mut Watch) {
+        self.server.watch(watch);
     }
 }
 

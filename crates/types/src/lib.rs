@@ -18,6 +18,7 @@
 //! * [`error`] — the shared error type.
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod compress;
 pub mod error;

@@ -36,6 +36,7 @@
 //! [`LogicalTime`]: aire_types::LogicalTime
 
 #![deny(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod access;
 pub mod filter;

@@ -24,6 +24,8 @@
 //! share, built only on `Ctx` primitives (session tokens come from
 //! `ctx.rand()`, so they replay deterministically).
 
+#![deny(unsafe_code)]
+
 pub mod ctx;
 pub mod router;
 pub mod session;

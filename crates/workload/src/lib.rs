@@ -12,6 +12,8 @@
 //!   per-request storage.
 //! * [`report`] — renders every table and figure in the paper's format.
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod overhead;
 pub mod report;

@@ -68,6 +68,8 @@
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! reproduced evaluation.
 
+#![deny(unsafe_code)]
+
 pub use aire_apps as apps;
 pub use aire_client as client;
 pub use aire_core as core;

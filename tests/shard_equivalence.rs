@@ -43,7 +43,7 @@ use aire::core::admin::{AdminOp, AdminResponse};
 use aire::core::protocol::{RepairMessage, RepairOp};
 use aire::core::{RepairMode, RepairScope, World};
 use aire::http::{Headers, HttpRequest, Url};
-use aire::transport::{shutdown_node, TcpTransport};
+use aire::transport::{shutdown_node, TcpTransport, DIAL_BACKOFF_CAP};
 use aire::types::jv;
 use aire::vdb::shard::{shard_of_key, shard_of_seq};
 use aire::vdb::Filter;
@@ -210,6 +210,9 @@ fn figure4_recovery(workers: usize, scope: RepairScope, trace: bool) -> Recovery
         cert.serial, 4242,
         "a sharded daemon must present the rotated certificate too"
     );
+    // Outlast askbot's reconnect backoff from its failed dial to the
+    // dead dpaste; a restart can now finish inside it.
+    std::thread::sleep(DIAL_BACKOFF_CAP);
     let retries = stuck.len();
     for e in &stuck {
         let AdminResponse::Ack = admin(

@@ -43,7 +43,7 @@ use aire::core::admin::{AdminOp, AdminResponse};
 use aire::core::{RepairMode, World};
 use aire::http::Headers;
 use aire::transport::chaos::{ChaosProxy, FaultPlan};
-use aire::transport::{shutdown_node, TcpTransport};
+use aire::transport::{shutdown_node, TcpTransport, DIAL_BACKOFF_CAP};
 use aire::vdb::Filter;
 use aire::workload::scenarios::askbot_attack::{self, AskbotWorkload};
 use aire::workload::scenarios::spreadsheet::{self, Variant};
@@ -285,6 +285,10 @@ fn tcp_cluster_askbot_recovery_matches_the_in_process_run() {
         cert.serial, 4242,
         "the pooled dialer must see the restarted daemon's rotated certificate"
     );
+    // A restart can now finish inside askbot's reconnect backoff (the
+    // failed dial to the dead dpaste suppresses dials for a few ms), and
+    // a retry landing there fails fast by design: outlast it first.
+    std::thread::sleep(DIAL_BACKOFF_CAP);
     for e in &stuck {
         let AdminResponse::Ack = admin(
             &world,
