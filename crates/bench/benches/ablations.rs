@@ -1,16 +1,11 @@
-//! Ablation benches for the design choices DESIGN.md calls out.
+//! Ablation benches for two of the repair design's choices.
 //!
-//! * `selective_vs_full`: Warp-style selective re-execution against
-//!   re-executing the entire log (the reason Table 5's repair takes less
-//!   than half the original execution time).
-//! * `collapse_counts`: repair messages actually sent vs. the number a
+//! * `selective_repair` vs `full_log_reexecution`: Warp-style selective
+//!   re-execution against re-executing the entire log (the reason
+//!   Table 5's repair takes less than half the original execution time).
+//! * collapse counts: repair messages actually sent vs. the number a
 //!   design without queue collapsing (§3.2) would send.
-//! * `predicate_vs_coarse_taint`: predicate-level phantom tracking vs.
-//!   whole-table scan tainting (repaired-request inflation).
 
-use std::rc::Rc;
-
-use aire_core::{ControllerConfig, World};
 use aire_workload::scenarios::askbot_attack::{self, AskbotWorkload};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -51,8 +46,8 @@ fn bench_ablations(c: &mut Criterion) {
         )
     });
 
-    // Not a timing bench: print the collapse and taint ablation counters
-    // once so they land in the bench log.
+    // Not a timing bench: print the collapse counters once so they land
+    // in the bench log.
     let s = askbot_attack::setup(&cfg());
     askbot_attack::repair(&s);
     s.world.pump();
@@ -61,24 +56,6 @@ fn bench_ablations(c: &mut Criterion) {
         let sent = s.world.controller(svc).stats().repair_messages_sent;
         println!("ablation_collapse[{svc}]: enqueued={enqueued} collapsed={collapsed} sent={sent}");
     }
-
-    let coarse = {
-        let mut world = World::new();
-        let config = ControllerConfig {
-            coarse_scan_taint: true,
-            ..Default::default()
-        };
-        world.add_service_with(Rc::new(aire_apps::OAuthProvider), config.clone());
-        world.add_service_with(Rc::new(aire_apps::Askbot), config.clone());
-        world.add_service_with(Rc::new(aire_apps::Dpaste), config);
-        world
-    };
-    drop(coarse); // Scenario drivers build their own worlds; measure via setup+repair below.
-    let precise = askbot_attack::setup(&cfg());
-    askbot_attack::repair(&precise);
-    precise.world.pump();
-    let precise_repaired = precise.world.controller("askbot").stats().repaired_requests;
-    println!("ablation_predicates: precise taint repaired {precise_repaired} askbot requests");
 
     group.finish();
 }

@@ -56,7 +56,7 @@ fn bench_substrate(c: &mut Criterion) {
             });
             log.record(a);
         }
-        b.iter(|| log.actions_touching_row(&RowKey::new("t", 7), LogicalTime::tick(500)))
+        b.iter(|| log.dependents(&RowKey::new("t", 7), LogicalTime::tick(500), &[]))
     });
 
     group.bench_function("jv_encode_decode", |b| {

@@ -5,7 +5,7 @@
 //!
 //! * the **`report` binary** (`cargo run -p aire-bench --bin report`)
 //!   runs every experiment once and prints every table and figure in the
-//!   paper's format — this is what `EXPERIMENTS.md` records;
+//!   paper's format and writes the summary to `BENCH_report.json`;
 //! * the **Criterion benches** (`cargo bench`) measure the same
 //!   quantities statistically: `table4_overhead`, `table5_repair`,
 //!   `figures`, `ablations`, and `substrate` micro-benchmarks.

@@ -71,11 +71,6 @@ pub struct ControllerConfig {
     pub rng_seed: u64,
     /// Starting value of the service's wall-clock-ish counter.
     pub clock_base_millis: i64,
-    /// Ablation knob: when true, a changed row taints *every* later scan
-    /// of its table instead of only scans whose predicates match the old
-    /// or new value. Inflates the repaired-request count; the
-    /// `ablation_predicates` bench quantifies by how much.
-    pub coarse_scan_taint: bool,
     /// This controller's slot in a sharded daemon: `(index, count)`.
     /// Shard `index` of `count` allocates interleaved request seqs
     /// `index+1, index+1+count, index+1+2*count, ...` so request ids stay
@@ -104,7 +99,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             rng_seed: 0xA17E,
             clock_base_millis: 1_700_000_000_000,
-            coarse_scan_taint: false,
             shard: (0, 1),
             repair_scope: RepairScope::default(),
             tracing: false,
@@ -643,7 +637,6 @@ impl Controller {
             stats,
             admin_notices,
             notifications,
-            coarse_scan_taint: self.config.coarse_scan_taint,
             obs: Some(&self.obs),
         }
     }
@@ -663,8 +656,8 @@ impl Controller {
         let mut core = self.core.borrow_mut();
         let report = core.store.gc_with_report(horizon);
         // Rows whose entire history fell below the horizon no longer
-        // exist; prune their taint postings and access-graph edges in
-        // lockstep so closure walks can't reach them.
+        // exist; prune their access-graph edges in lockstep so taint
+        // walks can't reach them.
         core.log.forget_rows(&report.reaped);
         let reg = self.obs.registry();
         reg.gc_runs_total.incr();
@@ -1730,8 +1723,9 @@ impl Controller {
     }
 
     /// Re-executes the *entire* live log — the non-selective baseline
-    /// the `ablation_selective` bench compares Warp-style selective
-    /// re-execution against. Returns the number of actions processed.
+    /// the `ablations` bench's `full_log_reexecution` compares Warp-style
+    /// selective re-execution against. Returns the number of actions
+    /// processed.
     pub fn reexecute_entire_log(&self) -> usize {
         let times: Vec<LogicalTime> = self.core.borrow().log.actions().map(|a| a.time).collect();
         // Re-executing against the log's own inputs is exactly the plan
@@ -1871,8 +1865,7 @@ impl Controller {
                             request_id.wire()
                         ))
                     })?;
-                let closure =
-                    crate::taint::tainted_closure(&core.log, [seed], self.config.coarse_scan_taint);
+                let closure = crate::taint::tainted_closure(&core.log, [seed]);
                 Ok(AdminResponse::TaintClosure {
                     total: core.log.len(),
                     tainted: closure

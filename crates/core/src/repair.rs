@@ -111,8 +111,6 @@ pub struct EngineState<'a> {
     pub admin_notices: &'a mut Vec<Jv>,
     /// Notification copies (also delivered to `App::notify`).
     pub notifications: &'a mut Vec<RepairProblem>,
-    /// Ablation knob: taint every scan of a changed row's table.
-    pub coarse_scan_taint: bool,
     /// Observability plane, when the owning controller has one: repair
     /// passes record a span and the re-executed/skipped counters and
     /// taint-closure histogram. `None` leaves the engine silent (tests
@@ -261,7 +259,7 @@ impl<'a> RepairEngine<'a> {
             }
             RepairScope::Selective => {
                 let seeds: Vec<LogicalTime> = self.pass.agenda.keys().copied().collect();
-                let closure = tainted_closure(self.state.log, seeds, self.state.coarse_scan_taint);
+                let closure = tainted_closure(self.state.log, seeds);
                 if let Some(obs) = self.state.obs {
                     obs.registry()
                         .taint_closure_size
@@ -378,7 +376,7 @@ impl<'a> RepairEngine<'a> {
         };
         // Roll back everything the action wrote and taint the future.
         for (key, after) in final_writes(&record.db_ops) {
-            self.rollback_and_taint(&key, time, after);
+            self.rollback_and_taint(&key, time, &[after.as_ref()]);
         }
         // Cancel the action's conversation with every remote it called.
         for call in &record.calls {
@@ -507,7 +505,7 @@ impl<'a> RepairEngine<'a> {
         // Rows the original wrote but the re-execution did not: undo.
         for (key, old_after) in &old_writes {
             if !new_writes.contains_key(key) {
-                self.rollback_and_taint(key, time, old_after.clone());
+                self.rollback_and_taint(key, time, &[old_after.as_ref()]);
             }
         }
 
@@ -524,14 +522,13 @@ impl<'a> RepairEngine<'a> {
             if existing.as_ref() == Some(new_after) {
                 continue;
             }
-            let old_after = old_writes.get(key).cloned().flatten();
+            let old_after = old_writes.get(key).and_then(Option::as_ref);
             // Remove the stale version (and any later ones), tainting
-            // the readers/writers after this time...
-            self.rollback_and_taint(key, time, old_after);
+            // the readers/writers after this time and the scans either
+            // value satisfies...
+            self.rollback_and_taint(key, time, &[old_after, new_after.as_ref()]);
             // ...then apply the new write.
             self.apply_write(key, new_after.clone(), time);
-            // New values can also satisfy predicates old values did not.
-            self.taint_scans(key, time, new_after.clone());
         }
     }
 
@@ -576,65 +573,22 @@ impl<'a> RepairEngine<'a> {
         }
     }
 
-    /// Rolls `key` back to before `time` and puts every later (or
-    /// same-time, for other actions) reader/writer and matching scan on
-    /// the agenda.
-    fn rollback_and_taint(&mut self, key: &RowKey, time: LogicalTime, changed_value: Option<Jv>) {
+    /// Rolls `key` back to before `time` and puts on the agenda every
+    /// action [`RepairLog::dependents`] names for the change: the row's
+    /// later readers and writers, and the later scans matching a value
+    /// the rollback removed or one of `probes`.
+    fn rollback_and_taint(&mut self, key: &RowKey, time: LogicalTime, probes: &[Option<&Jv>]) {
         let removed = self
             .state
             .store
             .rollback(&key.table, key.id, time)
             .unwrap_or_default();
-        // Direct readers/writers of the row.
-        for t in self.state.log.actions_touching_row(key, time) {
-            if t == time {
-                continue;
-            }
-            self.schedule(
-                t,
-                Plan::ReExec {
-                    request_override: None,
-                },
-            );
-        }
-        // Phantom taint: scans whose predicate matches any removed value
-        // or the changed value.
-        let mut probes: Vec<Jv> = removed.into_iter().filter_map(|v| v.data).collect();
-        if let Some(v) = changed_value {
-            probes.push(v);
-        }
-        if !probes.is_empty() {
-            let table = key.table.clone();
-            let coarse = self.state.coarse_scan_taint;
-            let times = self.state.log.actions_scanning(&table, time, |f| {
-                coarse || probes.iter().any(|p| f.matches(p))
-            });
-            for t in times {
-                if t == time {
-                    continue;
-                }
-                self.schedule(
-                    t,
-                    Plan::ReExec {
-                        request_override: None,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Taints scans that match a newly written value.
-    fn taint_scans(&mut self, key: &RowKey, time: LogicalTime, value: Option<Jv>) {
-        let Some(v) = value else { return };
-        let coarse = self.state.coarse_scan_taint;
-        let times = self
-            .state
-            .log
-            .actions_scanning(&key.table, time, |f| coarse || f.matches(&v));
-        for t in times {
-            if t == time {
-                continue;
-            }
+        let probes: Vec<Option<&Jv>> = removed
+            .iter()
+            .map(|v| v.data.as_ref())
+            .chain(probes.iter().copied())
+            .collect();
+        for t in self.state.log.dependents(key, time, &probes) {
             self.schedule(
                 t,
                 Plan::ReExec {

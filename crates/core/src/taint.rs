@@ -22,6 +22,8 @@
 //!   rows *they* wrote → …, with the phantom half folded in (scans
 //!   whose recorded predicate matches a value the tainted request wrote
 //!   or overwrote join the closure even when they never read the row).
+//!   Each step is one [`RepairLog::dependents`] call, the same query the
+//!   engine's rollback expands reactive taint through.
 //!
 //! Selective mode is a *pre-scheduling* optimization, not a correctness
 //! dependency: the engine's dynamic taint (rollback-and-taint during
@@ -37,7 +39,7 @@
 use std::collections::BTreeSet;
 
 use aire_log::{DbOp, RepairLog};
-use aire_types::{Jv, LogicalTime};
+use aire_types::LogicalTime;
 
 /// How a local-repair pass expands its seed agenda.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -86,16 +88,13 @@ impl RepairScope {
 }
 
 /// The transitive tainted closure from `seeds` (action execution
-/// times), over the log's access graph and scan index. The result
-/// contains the seeds themselves plus every action reachable through
-/// row edges (read-after-write, write-after-write) or phantom edges
-/// (a scan whose predicate matches a value a tainted action wrote or
-/// overwrote). `coarse_scan_taint` mirrors the engine's ablation knob:
-/// when set, every scan of a touched table joins the closure.
+/// times): the seeds themselves plus every action reachable through
+/// [`RepairLog::dependents`] of the rows a tainted action wrote — the
+/// query the engine's rollback asks too, probed here with each write's
+/// before and after values.
 pub fn tainted_closure(
     log: &RepairLog,
     seeds: impl IntoIterator<Item = LogicalTime>,
-    coarse_scan_taint: bool,
 ) -> BTreeSet<LogicalTime> {
     let mut tainted = BTreeSet::new();
     let mut worklist: Vec<LogicalTime> = Vec::new();
@@ -112,28 +111,10 @@ pub fn tainted_closure(
             let DbOp::Write { key, before, after } = op else {
                 continue;
             };
-            // Later touchers of the row: its readers are tainted
-            // outright; later writers too, because re-executing this
-            // action rolls the row back underneath them.
-            for t in log.access().touchers_since(key, time) {
-                if t != time && tainted.insert(t) {
-                    worklist.push(t);
-                }
-            }
-            // Phantom edges: scans whose predicate matches the value
-            // this write produced (it may vanish under repair) or the
-            // value it overwrote (it may come back).
-            let probes: Vec<&Jv> = [before.as_ref(), after.as_ref()]
-                .into_iter()
-                .flatten()
-                .collect();
-            if probes.is_empty() && !coarse_scan_taint {
-                continue;
-            }
-            for t in log.actions_scanning(&key.table, time, |f| {
-                coarse_scan_taint || probes.iter().any(|p| f.matches(p))
-            }) {
-                if t != time && tainted.insert(t) {
+            // The value this write produced may vanish under repair, and
+            // the value it overwrote may come back.
+            for t in log.dependents(key, time, &[before.as_ref(), after.as_ref()]) {
+                if tainted.insert(t) {
                     worklist.push(t);
                 }
             }
@@ -146,7 +127,7 @@ pub fn tainted_closure(
 mod tests {
     use aire_http::{HttpRequest, HttpResponse, Method, Url};
     use aire_log::ActionRecord;
-    use aire_types::{jv, RequestId};
+    use aire_types::{jv, Jv, RequestId};
     use aire_vdb::{Filter, RowKey};
 
     use super::*;
@@ -201,7 +182,7 @@ mod tests {
         log.record(action(3, vec![read("rows", 2)]));
         log.record(action(4, vec![read("rows", 3)]));
 
-        let closure = tainted_closure(&log, [t(1)], false);
+        let closure = tainted_closure(&log, [t(1)]);
         assert_eq!(closure, BTreeSet::from([t(1), t(2), t(3)]));
     }
 
@@ -211,7 +192,7 @@ mod tests {
         log.record(action(1, vec![write("rows", 1, 10)]));
         log.record(action(2, vec![write("rows", 1, 11)]));
         log.record(action(3, vec![read("rows", 9)]));
-        let closure = tainted_closure(&log, [t(1)], false);
+        let closure = tainted_closure(&log, [t(1)]);
         assert_eq!(closure, BTreeSet::from([t(1), t(2)]));
     }
 
@@ -235,15 +216,12 @@ mod tests {
                 hits: vec![],
             }],
         ));
-        let closure = tainted_closure(&log, [t(1)], false);
+        let closure = tainted_closure(&log, [t(1)]);
         assert_eq!(
             closure,
             BTreeSet::from([t(1), t(2)]),
             "only the matching scan is tainted"
         );
-        // The coarse ablation taints every scan of the table.
-        let coarse = tainted_closure(&log, [t(1)], true);
-        assert_eq!(coarse, BTreeSet::from([t(1), t(2), t(3)]));
     }
 
     #[test]
@@ -266,7 +244,7 @@ mod tests {
             }],
         ));
         // Undoing request 1 restores v=5, so the scan's result changes.
-        let closure = tainted_closure(&log, [t(1)], false);
+        let closure = tainted_closure(&log, [t(1)]);
         assert!(closure.contains(&t(2)));
     }
 
@@ -275,7 +253,7 @@ mod tests {
         let mut log = RepairLog::new();
         log.record(action(1, vec![write("rows", 1, 10)]));
         log.record(action(2, vec![read("rows", 1)]));
-        let closure = tainted_closure(&log, [t(2)], false);
+        let closure = tainted_closure(&log, [t(2)]);
         assert_eq!(closure, BTreeSet::from([t(2)]));
     }
 }

@@ -12,9 +12,11 @@
 //!   (time, randomness, row-id allocation), and external outputs (e.g.
 //!   the daily summary email of §7.1, which needs a compensating action).
 //! * [`RepairLog`] — the time-ordered collection of actions with the
-//!   *taint indexes* selective re-execution needs: which actions read or
-//!   wrote a given row after a given time, and which scans' predicates a
-//!   changed row matches (the phantom case).
+//!   *taint indexes* re-execution needs: the [`AccessGraph`] (which
+//!   actions read or wrote a given row, and when) and the scan index
+//!   (which actions scanned a table). [`RepairLog::dependents`] is the
+//!   one query over both: the later touchers of a changed row, plus the
+//!   later scans whose predicate its values match (the phantom case).
 //! * Byte accounting (raw and LZSS-compressed) for Table 4's
 //!   per-request log-size columns, and garbage collection (§9).
 
@@ -23,8 +25,9 @@
 pub mod record;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
 
-use aire_types::{compress, LogicalTime, RequestId, ResponseId};
+use aire_types::{compress, Jv, LogicalTime, RequestId, ResponseId};
 use aire_vdb::{AccessGraph, AccessKind, RowKey};
 
 pub use record::{ActionRecord, ActionStatus, CallRecord, DbOp, ExternalOutput, NondetLog};
@@ -36,8 +39,6 @@ pub struct RepairLog {
     actions: BTreeMap<LogicalTime, ActionRecord>,
     /// Request-id → execution time.
     by_id: HashMap<RequestId, LogicalTime>,
-    /// Row → times of actions that point-read or wrote it.
-    row_index: HashMap<RowKey, BTreeSet<LogicalTime>>,
     /// Table → times of actions that scanned it.
     scan_index: HashMap<String, BTreeSet<LogicalTime>>,
     /// Response-id we assigned for an outgoing call → (action time, call
@@ -47,10 +48,9 @@ pub struct RepairLog {
     archive: Vec<ActionRecord>,
     /// Everything before this time was garbage collected.
     gc_horizon: LogicalTime,
-    /// The request→row dependency graph: one read|write edge per
-    /// recorded db op, maintained in lockstep with the indexes above
-    /// (so replace, GC, and restore keep it exact). `aire-core::taint`
-    /// computes the tainted closure over it.
+    /// The row index: one read|write edge per recorded db op and scan
+    /// hit, maintained in lockstep with the indexes above (so replace,
+    /// GC, and restore keep it exact).
     access: AccessGraph,
 }
 
@@ -206,43 +206,48 @@ impl RepairLog {
         Ok((lo, hi))
     }
 
-    /// Actions at or after `since` whose recorded db ops point-read or
-    /// wrote `key` — the direct-dependency half of taint (§2.1).
-    pub fn actions_touching_row(&self, key: &RowKey, since: LogicalTime) -> Vec<LogicalTime> {
-        self.row_index
-            .get(key)
-            .map(|times| times.range(since..).copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Actions at or after `since` that scanned `table` with a filter for
-    /// which `probe` returns true — the phantom half of taint. `probe` is
-    /// called with each recorded filter; the repair engine passes a
-    /// closure testing the changed row's old and new values.
-    pub fn actions_scanning(
+    /// The actions after `time` that a change to `key` at `time` taints
+    /// (§2.1) — the one taint query, for reactive rollback and the
+    /// selective closure alike:
+    ///
+    /// * every later toucher of the row: its readers saw the changed
+    ///   value, and its writers are rolled back underneath;
+    /// * every later scan of the row's table whose recorded filter
+    ///   matches one of `probes` — the values the row held or holds
+    ///   around the change (the phantom case). With no probe, no scan.
+    ///
+    /// `time` itself is never returned.
+    pub fn dependents(
         &self,
-        table: &str,
-        since: LogicalTime,
-        mut probe: impl FnMut(&aire_vdb::Filter) -> bool,
-    ) -> Vec<LogicalTime> {
-        let Some(times) = self.scan_index.get(table) else {
-            return Vec::new();
+        key: &RowKey,
+        time: LogicalTime,
+        probes: &[Option<&Jv>],
+    ) -> BTreeSet<LogicalTime> {
+        let mut out: BTreeSet<LogicalTime> = self
+            .access
+            .touchers_since(key, time)
+            .into_iter()
+            .filter(|&t| t != time)
+            .collect();
+        let probes: Vec<&Jv> = probes.iter().flatten().copied().collect();
+        let scans = match self.scan_index.get(&key.table) {
+            Some(scans) if !probes.is_empty() => scans,
+            _ => return out,
         };
-        let mut out = Vec::new();
-        for &t in times.range(since..) {
-            let Some(action) = self.actions.get(&t) else {
-                continue;
-            };
-            let hit = action.db_ops.iter().any(|op| match op {
-                DbOp::Scan {
-                    table: st, filter, ..
-                } => st == table && probe(filter),
-                _ => false,
-            });
-            if hit {
-                out.push(t);
-            }
-        }
+        let matching_scan = |t: &LogicalTime| {
+            self.actions.get(t).is_some_and(|action| {
+                action.db_ops.iter().any(|op| {
+                    matches!(op, DbOp::Scan { table, filter, .. }
+                        if *table == key.table && probes.iter().any(|p| filter.matches(p)))
+                })
+            })
+        };
+        out.extend(
+            scans
+                .range((Bound::Excluded(time), Bound::Unbounded))
+                .copied()
+                .filter(matching_scan),
+        );
         out
     }
 
@@ -330,22 +335,11 @@ impl RepairLog {
         &self.access
     }
 
-    /// Rows with at least one live taint-index posting.
-    pub fn indexed_rows(&self) -> usize {
-        self.row_index.len()
-    }
-
     /// Verifies the derived taint indexes hold no leaked state: no empty
-    /// posting sets (an emptied set pins its row key forever and shows a
-    /// phantom row to index walkers) and an internally consistent access
-    /// graph. Same self-check idiom as the store's
-    /// `check_index_integrity`.
+    /// scan posting sets (an emptied set pins its table key forever) and
+    /// an internally consistent access graph. Same self-check idiom as
+    /// the store's `check_index_integrity`.
     pub fn check_taint_integrity(&self) -> Result<(), String> {
-        for (key, set) in &self.row_index {
-            if set.is_empty() {
-                return Err(format!("row index keeps empty posting set for {key}"));
-            }
-        }
         for (table, set) in &self.scan_index {
             if set.is_empty() {
                 return Err(format!(
@@ -359,20 +353,8 @@ impl RepairLog {
     fn index(&mut self, action: &ActionRecord) {
         for op in &action.db_ops {
             match op {
-                DbOp::Read { key, .. } => {
-                    self.row_index
-                        .entry(key.clone())
-                        .or_default()
-                        .insert(action.time);
-                    self.access.record(action.time, key, AccessKind::Read);
-                }
-                DbOp::Write { key, .. } => {
-                    self.row_index
-                        .entry(key.clone())
-                        .or_default()
-                        .insert(action.time);
-                    self.access.record(action.time, key, AccessKind::Write);
-                }
+                DbOp::Read { key, .. } => self.access.record(action.time, key, AccessKind::Read),
+                DbOp::Write { key, .. } => self.access.record(action.time, key, AccessKind::Write),
                 DbOp::Scan { table, hits, .. } => {
                     self.scan_index
                         .entry(table.clone())
@@ -382,7 +364,6 @@ impl RepairLog {
                     for &id in hits {
                         let key = RowKey::new(table.clone(), id);
                         self.access.record(action.time, &key, AccessKind::Read);
-                        self.row_index.entry(key).or_default().insert(action.time);
                     }
                 }
             }
@@ -396,19 +377,12 @@ impl RepairLog {
     fn unindex(&mut self, action: &ActionRecord) {
         for op in &action.db_ops {
             match op {
-                DbOp::Read { key, .. } => {
-                    drop_time(&mut self.row_index, key, action.time);
-                    self.access.forget(action.time, key, AccessKind::Read);
-                }
-                DbOp::Write { key, .. } => {
-                    drop_time(&mut self.row_index, key, action.time);
-                    self.access.forget(action.time, key, AccessKind::Write);
-                }
+                DbOp::Read { key, .. } => self.access.forget(action.time, key, AccessKind::Read),
+                DbOp::Write { key, .. } => self.access.forget(action.time, key, AccessKind::Write),
                 DbOp::Scan { table, hits, .. } => {
                     drop_time(&mut self.scan_index, table, action.time);
                     for &id in hits {
                         let key = RowKey::new(table.clone(), id);
-                        drop_time(&mut self.row_index, &key, action.time);
                         self.access.forget(action.time, &key, AccessKind::Read);
                     }
                 }
@@ -420,18 +394,11 @@ impl RepairLog {
     }
 
     /// Moves the derived state from `old` to `new` (same action, same
-    /// time) touching only what differs between them.
-    ///
-    /// The two kinds of derived state do not diff alike. Access-graph
-    /// edges are *counted*: one increment per read, write or scan hit, so
-    /// the edge change is the multiset difference of the two op lists.
-    /// `row_index` and `scan_index` postings are *sets* per
-    /// `(key, time)`: an action that point-reads and scans the same row
-    /// holds one posting for it, and losing one of those ops must not
-    /// drop the posting the other still justifies. So the ops are never
-    /// diffed one against one for postings; the edges are settled first
-    /// (additions before removals) and a posting goes only when the
-    /// action's last edge into the row went.
+    /// time) touching only what differs between them. Access-graph edges
+    /// are counted, one increment per read, write or scan hit, so the
+    /// edge change is the multiset difference of the two op lists. A
+    /// table's scan posting is a set per `(table, time)`: it goes only
+    /// when the new record no longer scans the table.
     fn reindex(&mut self, old: &ActionRecord, new: &ActionRecord) {
         let time = new.time;
         let mut gone = Footprint::default();
@@ -469,13 +436,9 @@ impl RepairLog {
         }
         for (key, kind) in &came.edges {
             self.access.record(time, key, *kind);
-            self.row_index.entry(key.clone()).or_default().insert(time);
         }
         for (key, kind) in &gone.edges {
             self.access.forget(time, key, *kind);
-            if !self.access.touches(key, time) {
-                drop_time(&mut self.row_index, key, time);
-            }
         }
         for table in came.tables {
             self.scan_index
@@ -511,36 +474,30 @@ impl RepairLog {
         }
     }
 
-    /// Forgets every posting and access-graph edge for rows that no
-    /// longer exist — the store's GC reaps rows whose entire history
-    /// (down to the dead tombstone) fell below the horizon, and the
-    /// taint indexes must be pruned in lockstep or closure walks see
-    /// edges into rows nothing can ever read or repair again.
+    /// Forgets every access-graph edge for rows that no longer exist —
+    /// the store's GC reaps rows whose entire history (down to the dead
+    /// tombstone) fell below the horizon, and the row index must be
+    /// pruned in lockstep or taint walks see edges into rows nothing can
+    /// ever read or repair again.
     ///
     /// Safe because a reaped row is terminally dead: its id is never
     /// re-issued (the allocator only moves forward), and any write that
     /// could resurrect it would need a pre-horizon time, which
-    /// `HistoryCollected` refuses. The surviving postings being removed
+    /// `HistoryCollected` refuses. The surviving edges being removed
     /// here are therefore reads/scans of history that GC already made
     /// unreachable.
     pub fn forget_rows(&mut self, rows: &[RowKey]) {
         for key in rows {
-            self.row_index.remove(key);
             self.access.forget_row(key);
         }
     }
 }
 
-/// Removes `time` from `key`'s posting set. Emptied postings are removed
-/// outright (not left as empty sets): the maps are keyed by row/table, so
-/// a leaked empty entry pins the key's memory forever and shows up as a
-/// phantom row to anything that iterates the index — exactly what GC
-/// exists to prevent. `AccessGraph::forget` already removes emptied rows.
-fn drop_time<K: std::hash::Hash + Eq>(
-    index: &mut HashMap<K, BTreeSet<LogicalTime>>,
-    key: &K,
-    time: LogicalTime,
-) {
+/// Removes `time` from `table`'s scan posting set. An emptied set is
+/// removed outright (not left empty): a leaked entry pins the table key
+/// forever — exactly what GC exists to prevent. `AccessGraph::forget`
+/// already removes emptied rows.
+fn drop_time(index: &mut HashMap<String, BTreeSet<LogicalTime>>, key: &str, time: LogicalTime) {
     if let Some(set) = index.get_mut(key) {
         set.remove(&time);
         if set.is_empty() {
@@ -687,41 +644,73 @@ mod tests {
         log.record(action(1, vec![]));
     }
 
-    #[test]
-    fn row_taint_is_time_filtered() {
-        let mut log = RepairLog::new();
-        log.record(action(1, vec![write("users", 7)]));
-        log.record(action(2, vec![read("users", 7)]));
-        log.record(action(3, vec![read("users", 8)]));
-        log.record(action(4, vec![read("users", 7)]));
-
-        let key = RowKey::new("users", 7);
-        let hits = log.actions_touching_row(&key, t(2));
-        assert_eq!(hits, vec![t(2), t(4)]);
-        // `since` bound is inclusive and excludes earlier actions.
-        let hits = log.actions_touching_row(&key, t(5));
-        assert!(hits.is_empty());
+    fn times(ns: &[u64]) -> BTreeSet<LogicalTime> {
+        ns.iter().map(|&n| t(n)).collect()
     }
 
     #[test]
-    fn scan_taint_uses_predicate_probe() {
+    fn dependents_are_the_later_touchers_of_the_row() {
+        let mut log = RepairLog::new();
+        log.record(action(1, vec![write("users", 7)]));
+        log.record(action(2, vec![write("users", 7)]));
+        log.record(action(3, vec![read("users", 7)]));
+        log.record(action(4, vec![read("users", 8)]));
+        log.record(action(5, vec![write("users", 7)]));
+
+        let key = RowKey::new("users", 7);
+        // A later reader and a later writer; neither the earlier writer
+        // nor the action at `time` itself.
+        assert_eq!(log.dependents(&key, t(2), &[]), times(&[3, 5]));
+        assert_eq!(log.dependents(&key, t(5), &[]), times(&[]));
+        // Scans also point-read their hits.
+        log.record(action(6, vec![scan("users", Filter::all(), vec![7])]));
+        assert_eq!(log.dependents(&key, t(5), &[]), times(&[6]));
+    }
+
+    #[test]
+    fn dependents_take_a_scan_only_when_a_probe_matches_its_filter() {
         let mut log = RepairLog::new();
         log.record(action(
             1,
-            vec![scan("posts", Filter::all().eq("kind", "q"), vec![1])],
+            vec![scan("posts", Filter::all().eq("kind", "q"), vec![])],
+        ));
+        log.record(action(2, vec![write("posts", 9)]));
+        log.record(action(
+            3,
+            vec![scan("posts", Filter::all().eq("kind", "q"), vec![])],
         ));
         log.record(action(
-            2,
+            4,
             vec![scan("posts", Filter::all().eq("kind", "a"), vec![])],
         ));
 
-        // A new row with kind "q" taints only the first scan.
-        let new_row = jv!({"kind": "q"});
-        let hits = log.actions_scanning("posts", t(1), |f| f.matches(&new_row));
-        assert_eq!(hits, vec![t(1)]);
-        // Scans also point-read their hits.
-        let hits = log.actions_touching_row(&RowKey::new("posts", 1), t(1));
-        assert_eq!(hits, vec![t(1)]);
+        let key = RowKey::new("posts", 9);
+        let q = jv!({"kind": "q"});
+        let a = jv!({"kind": "a"});
+        // Only the later scan whose filter matches a probe.
+        assert_eq!(log.dependents(&key, t(2), &[Some(&q)]), times(&[3]));
+        assert_eq!(
+            log.dependents(&key, t(2), &[None, Some(&q), Some(&a)]),
+            times(&[3, 4])
+        );
+        // No probe, no scan.
+        assert_eq!(log.dependents(&key, t(2), &[]), times(&[]));
+        assert_eq!(log.dependents(&key, t(2), &[None]), times(&[]));
+    }
+
+    #[test]
+    fn dependents_name_an_action_that_reads_and_scans_a_row_once() {
+        let mut log = RepairLog::new();
+        log.record(action(1, vec![write("users", 1)]));
+        log.record(action(
+            2,
+            vec![read("users", 1), scan("users", Filter::all(), vec![1])],
+        ));
+        let v = jv!({"v": 1});
+        assert_eq!(
+            log.dependents(&RowKey::new("users", 1), t(1), &[Some(&v)]),
+            times(&[2])
+        );
     }
 
     #[test]
@@ -732,19 +721,20 @@ mod tests {
         replace(&mut log, action(1, vec![read("users", 2)]));
         assert_eq!(log.archived().len(), 1);
         assert!(log
-            .actions_touching_row(&RowKey::new("users", 1), t(0))
+            .access()
+            .touchers_since(&RowKey::new("users", 1), t(0))
             .is_empty());
         assert_eq!(
-            log.actions_touching_row(&RowKey::new("users", 2), t(0)),
+            log.access().touchers_since(&RowKey::new("users", 2), t(0)),
             vec![t(1)]
         );
     }
 
-    /// The pitfall the diff must not fall into: postings are sets, edges
-    /// are counted. An action that point-reads and scans the same row
-    /// keeps its posting when only one of the two ops goes away.
+    /// Edges are counted: an action that point-reads and scans the same
+    /// row keeps its edge into the row when only one of the two ops goes
+    /// away.
     #[test]
-    fn replace_keeps_a_posting_another_op_still_justifies() {
+    fn replace_keeps_an_edge_another_op_still_justifies() {
         let key = RowKey::new("users", 1);
         let mut log = RepairLog::new();
         log.record(action(
@@ -759,16 +749,12 @@ mod tests {
                 vec![read("users", 1), scan("users", Filter::all(), vec![2])],
             ),
         );
-        assert_eq!(log.actions_touching_row(&key, t(0)), vec![t(1)]);
+        let other = (RowKey::new("users", 2), t(1), AccessKind::Read, 1);
         assert_eq!(
             log.access().edges(),
-            vec![
-                (key.clone(), t(1), AccessKind::Read, 1),
-                (RowKey::new("users", 2), t(1), AccessKind::Read, 1),
-            ]
+            vec![(key.clone(), t(1), AccessKind::Read, 1), other.clone()]
         );
-        // Read turned into a write of the same row: the posting stays,
-        // the edge changes kind.
+        // Read turned into a write of the same row: the edge changes kind.
         replace(
             &mut log,
             action(
@@ -776,16 +762,17 @@ mod tests {
                 vec![write("users", 1), scan("users", Filter::all(), vec![2])],
             ),
         );
-        assert_eq!(log.actions_touching_row(&key, t(0)), vec![t(1)]);
-        assert_eq!(log.access().writers_since(&key, t(0)), vec![t(1)]);
-        // The last op naming the row goes: now the posting goes too, and
-        // the table stays scanned.
+        assert_eq!(
+            log.access().edges(),
+            vec![(key.clone(), t(1), AccessKind::Write, 1), other.clone()]
+        );
+        // The last op naming the row goes, and the table stays scanned.
         replace(
             &mut log,
             action(1, vec![scan("users", Filter::all(), vec![2])]),
         );
-        assert!(log.actions_touching_row(&key, t(0)).is_empty());
-        assert_eq!(log.actions_scanning("users", t(0), |_| true), vec![t(1)]);
+        assert_eq!(log.access().edges(), vec![other]);
+        assert_eq!(log.dependents(&key, t(0), &[Some(&Jv::map())]), times(&[1]));
         log.check_taint_integrity().unwrap();
         assert_eq!(log.archived().len(), 3);
     }
@@ -800,7 +787,7 @@ mod tests {
         assert!(log.at(t(2)).is_none(), "the engine owns it now");
         // The derived state still names the action while it is out.
         assert_eq!(
-            log.actions_touching_row(&RowKey::new("users", 1), t(2)),
+            log.access().touchers_since(&RowKey::new("users", 1), t(2)),
             vec![t(2)]
         );
         log.put_back(taken);
@@ -875,19 +862,20 @@ mod tests {
         assert!(log.by_request_id(&RequestId::new("svc", 1)).is_none());
         // The taint index no longer mentions collected actions.
         assert_eq!(
-            log.actions_touching_row(&RowKey::new("users", 1), LogicalTime::ZERO),
+            log.access()
+                .touchers_since(&RowKey::new("users", 1), LogicalTime::ZERO),
             vec![t(3)]
         );
     }
 
     /// Regression: unindexing the last action touching a row used to
-    /// leave an empty posting set behind, pinning the row key forever.
+    /// leave an empty entry behind, pinning the row key forever.
     #[test]
-    fn gc_and_replace_remove_emptied_postings() {
+    fn gc_and_replace_remove_emptied_rows() {
         let mut log = RepairLog::new();
         log.record(action(1, vec![write("users", 1)]));
         log.record(action(2, vec![scan("users", Filter::all(), vec![1])]));
-        assert_eq!(log.indexed_rows(), 1);
+        assert_eq!(log.access().stats().rows, 1);
 
         // Replace re-points action 2 elsewhere; row 1 keeps action 1.
         replace(&mut log, action(2, vec![read("posts", 9)]));
@@ -895,27 +883,29 @@ mod tests {
 
         // Collecting everything must empty the indexes outright.
         log.gc(t(3));
-        assert_eq!(log.indexed_rows(), 0);
+        assert_eq!(log.access().stats().rows, 0);
         log.check_taint_integrity().unwrap();
         assert!(log.access().is_empty());
     }
 
     /// When the store reaps a row (its whole history fell below the GC
-    /// horizon), the log prunes that row's postings and graph edges in
-    /// lockstep so taint-closure walks can't reach it.
+    /// horizon), the log prunes that row's graph edges in lockstep so
+    /// taint walks can't reach it.
     #[test]
-    fn forget_rows_prunes_postings_and_graph_edges() {
+    fn forget_rows_prunes_graph_edges() {
         let mut log = RepairLog::new();
         log.record(action(5, vec![read("users", 1), write("users", 2)]));
         let dead = RowKey::new("users", 1);
-        assert_eq!(log.actions_touching_row(&dead, t(0)), vec![t(5)]);
+        assert_eq!(log.access().touchers_since(&dead, t(0)), vec![t(5)]);
 
         log.forget_rows(std::slice::from_ref(&dead));
-        assert!(log.actions_touching_row(&dead, t(0)).is_empty());
         assert!(log.access().touchers_since(&dead, t(0)).is_empty());
         // The surviving row's edges are untouched.
         let alive = RowKey::new("users", 2);
-        assert_eq!(log.access().writers_since(&alive, t(0)), vec![t(5)]);
+        assert_eq!(
+            log.access().edges(),
+            vec![(alive, t(5), AccessKind::Write, 1)]
+        );
         let stats = log.access().stats();
         assert_eq!((stats.read_edges, stats.write_edges), (0, 1));
         log.check_taint_integrity().unwrap();
@@ -932,7 +922,14 @@ mod tests {
         ));
 
         let key = RowKey::new("users", 7);
-        assert_eq!(log.access().writers_since(&key, t(1)), vec![t(1)]);
+        assert_eq!(
+            log.access().edges(),
+            vec![
+                (key.clone(), t(1), AccessKind::Write, 1),
+                (key.clone(), t(2), AccessKind::Read, 1),
+                (key.clone(), t(3), AccessKind::Read, 1),
+            ]
+        );
         assert_eq!(
             log.access().touchers_since(&key, t(1)),
             vec![t(1), t(2), t(3)],

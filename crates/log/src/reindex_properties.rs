@@ -6,15 +6,17 @@
 //! supersedes records the way the log used to — un-index the whole old
 //! record, re-index the whole new one — which is correct by construction
 //! and is kept here, as the oracle, only. After every step the two logs
-//! must hold the same derived state (row and scan postings, call index,
-//! id index, access-graph edges *with* their counts), the same derived
-//! state as a log rebuilt from the snapshot, a clean integrity check, and
-//! byte-identical snapshots (live records and archive, order included).
+//! must hold the same derived state (scan postings, call index, id index,
+//! access-graph edges *with* their counts) and answer the taint query
+//! (`dependents` of every row, from the middle of the history) alike, the
+//! same as a log rebuilt from the snapshot; they must also pass the
+//! integrity check and produce byte-identical snapshots (live records and
+//! archive, order included).
 //!
 //! Rows handed to `forget_rows` are terminally dead (the store reaped
 //! them; nothing can read or write them again), and the three routes
 //! legitimately disagree about them: a whole re-index or a restore
-//! resurrects a dead row's postings from the ops that still name it, the
+//! resurrects a dead row's edges from the ops that still name it, the
 //! difference leaves them pruned. They are left out of the comparison;
 //! everything else must not notice that a row was forgotten.
 
@@ -33,24 +35,21 @@ fn t(n: u64) -> LogicalTime {
     LogicalTime::tick(n)
 }
 
-/// Everything the log derives from its records, in a canonical order.
+/// Everything the log derives from its records, in a canonical order,
+/// and what the taint query answers for every live row after `t0`.
 #[derive(Debug, PartialEq)]
 struct Derived {
-    rows: BTreeMap<RowKey, Vec<LogicalTime>>,
     scans: BTreeMap<String, Vec<LogicalTime>>,
     calls: BTreeMap<String, (LogicalTime, usize)>,
     ids: BTreeMap<String, LogicalTime>,
     edges: Vec<(RowKey, LogicalTime, AccessKind, u32)>,
+    dependents: BTreeMap<RowKey, BTreeSet<LogicalTime>>,
 }
 
-fn derived(log: &RepairLog, dead: &BTreeSet<RowKey>) -> Derived {
+fn derived(log: &RepairLog, dead: &BTreeSet<RowKey>, t0: LogicalTime) -> Derived {
+    // Matches the generated `Filter::all()` scans, misses the others.
+    let probe = jv!({"v": 1});
     Derived {
-        rows: log
-            .row_index
-            .iter()
-            .filter(|(key, _)| !dead.contains(key))
-            .map(|(key, times)| (key.clone(), times.iter().copied().collect()))
-            .collect(),
         scans: log
             .scan_index
             .iter()
@@ -67,6 +66,15 @@ fn derived(log: &RepairLog, dead: &BTreeSet<RowKey>) -> Derived {
             .edges()
             .into_iter()
             .filter(|(key, ..)| !dead.contains(key))
+            .collect(),
+        dependents: TABLES
+            .iter()
+            .flat_map(|table| (1..=ROWS).map(|id| RowKey::new(*table, id)))
+            .filter(|key| !dead.contains(key))
+            .map(|key| {
+                let times = log.dependents(&key, t0, &[Some(&probe)]);
+                (key, times)
+            })
             .collect(),
     }
 }
@@ -100,7 +108,12 @@ fn random_op(rng: &mut DetRng) -> DbOp {
         },
         _ => DbOp::Scan {
             table: rng.pick(&TABLES).to_string(),
-            filter: Filter::all(),
+            // Half the scans are ones the taint probe in `derived` misses.
+            filter: if rng.chance(1, 2) {
+                Filter::all()
+            } else {
+                Filter::all().eq("v", 2)
+            },
             // Ascending, as the store answers scans.
             hits: (1..=ROWS).filter(|_| rng.chance(1, 2)).collect(),
         },
@@ -262,8 +275,9 @@ fn run_seed(seed: u64) {
             _ => continue,
         };
         let at = format!("seed {seed} step {step} ({label})");
-        let state = derived(&diffed, &dead);
-        assert_eq!(state, derived(&oracle, &dead), "{at}: vs full re-index");
+        let t0 = t(gen.next_time / 2);
+        let state = derived(&diffed, &dead, t0);
+        assert_eq!(state, derived(&oracle, &dead, t0), "{at}: vs full re-index");
         let snapshot = diffed.snapshot();
         assert_eq!(
             snapshot.encode(),
@@ -271,7 +285,7 @@ fn run_seed(seed: u64) {
             "{at}: snapshot bytes"
         );
         let restored = RepairLog::restore(&snapshot).expect("restore");
-        assert_eq!(state, derived(&restored, &dead), "{at}: vs restore");
+        assert_eq!(state, derived(&restored, &dead, t0), "{at}: vs restore");
         diffed
             .check_taint_integrity()
             .unwrap_or_else(|e| panic!("{at}: {e}"));

@@ -1,18 +1,18 @@
-//! The request→row access graph behind selective re-execution.
+//! The request→row access graph: the repair log's row index.
 //!
 //! Every database operation a request performs is one *edge*:
 //! `(request execution time, table, row id, read | write)`. The graph
-//! keeps those edges indexed by row, so the taint closure (Ancora-style
-//! dependency tracking, see `aire-core::taint`) can answer its one hot
-//! query — *which requests touched this row at or after time `t`?* —
-//! without walking the log.
+//! keeps those edges indexed by row and ordered by time, so taint — the
+//! engine's rollback and the selective closure alike, both through
+//! `aire_log::RepairLog::dependents` — answers its one hot query, *which
+//! requests touched this row after time `t`?*, with one range walk.
 //!
 //! The graph is deliberately dumb storage: it does not know about
-//! requests, repair, or scans. The repair log owns one and mirrors its
-//! own index maintenance into it, so record/replace/GC/snapshot-restore
-//! keep the graph consistent with the log by construction (restore
-//! re-indexes every action; the graph is derived data, like the store's
-//! secondary indexes).
+//! requests, repair, or scans. The repair log owns one as its only row
+//! index and feeds it from record/replace/GC/restore, so the graph is
+//! consistent with the log by construction (restore re-indexes every
+//! action; the graph is derived data, like the store's secondary
+//! indexes).
 //!
 //! Edges are multiset-counted: a handler that reads the same row twice
 //! records two edge increments, and un-recording the action removes
@@ -33,24 +33,24 @@ pub enum AccessKind {
     Write,
 }
 
-/// Edge multiplicities for one row, split by kind and ordered by the
-/// accessing request's execution time (the closure walks time ranges).
-#[derive(Debug, Default, Clone)]
-struct RowEdges {
-    readers: BTreeMap<LogicalTime, u32>,
-    writers: BTreeMap<LogicalTime, u32>,
+/// How often one request read and wrote one row. An entry lives while
+/// either count is non-zero.
+#[derive(Debug, Default, Clone, Copy)]
+struct Touch {
+    reads: u32,
+    writes: u32,
 }
 
-impl RowEdges {
-    fn side(&mut self, kind: AccessKind) -> &mut BTreeMap<LogicalTime, u32> {
+impl Touch {
+    fn count(&mut self, kind: AccessKind) -> &mut u32 {
         match kind {
-            AccessKind::Read => &mut self.readers,
-            AccessKind::Write => &mut self.writers,
+            AccessKind::Read => &mut self.reads,
+            AccessKind::Write => &mut self.writes,
         }
     }
 
     fn is_empty(&self) -> bool {
-        self.readers.is_empty() && self.writers.is_empty()
+        self.reads == 0 && self.writes == 0
     }
 }
 
@@ -69,7 +69,8 @@ pub struct AccessStats {
 /// The persistent request→row dependency graph (one per repair log).
 #[derive(Debug, Default)]
 pub struct AccessGraph {
-    rows: HashMap<RowKey, RowEdges>,
+    /// Row → the accessing requests' execution times, in order.
+    rows: HashMap<RowKey, BTreeMap<LogicalTime, Touch>>,
     read_edges: u64,
     write_edges: u64,
 }
@@ -80,39 +81,52 @@ impl AccessGraph {
         AccessGraph::default()
     }
 
+    fn edges_of(&mut self, kind: AccessKind) -> &mut u64 {
+        match kind {
+            AccessKind::Read => &mut self.read_edges,
+            AccessKind::Write => &mut self.write_edges,
+        }
+    }
+
     /// Adds one edge: the request executing at `time` accessed `key`.
     pub fn record(&mut self, time: LogicalTime, key: &RowKey, kind: AccessKind) {
-        let side = self.rows.entry(key.clone()).or_default().side(kind);
-        let count = side.entry(time).or_insert(0);
-        if *count == 0 {
-            match kind {
-                AccessKind::Read => self.read_edges += 1,
-                AccessKind::Write => self.write_edges += 1,
-            }
-        }
+        let count = self
+            .rows
+            .entry(key.clone())
+            .or_default()
+            .entry(time)
+            .or_default()
+            .count(kind);
         *count += 1;
+        if *count == 1 {
+            *self.edges_of(kind) += 1;
+        }
     }
 
     /// Removes one edge previously added with [`AccessGraph::record`].
     /// Unknown edges are ignored (the log only forgets what it indexed).
     pub fn forget(&mut self, time: LogicalTime, key: &RowKey, kind: AccessKind) {
-        let Some(edges) = self.rows.get_mut(key) else {
+        let Some(times) = self.rows.get_mut(key) else {
             return;
         };
-        let side = edges.side(kind);
-        if let Some(count) = side.get_mut(&time) {
-            *count -= 1;
-            if *count == 0 {
-                side.remove(&time);
-                match kind {
-                    AccessKind::Read => self.read_edges -= 1,
-                    AccessKind::Write => self.write_edges -= 1,
-                }
+        let Some(touch) = times.get_mut(&time) else {
+            return;
+        };
+        let count = touch.count(kind);
+        if *count == 0 {
+            return;
+        }
+        *count -= 1;
+        if *count > 0 {
+            return;
+        }
+        if touch.is_empty() {
+            times.remove(&time);
+            if times.is_empty() {
+                self.rows.remove(key);
             }
         }
-        if edges.is_empty() {
-            self.rows.remove(key);
-        }
+        *self.edges_of(kind) -= 1;
     }
 
     /// Drops every edge touching `key` at once — the lockstep prune for
@@ -120,52 +134,19 @@ impl AccessGraph {
     /// horizon, so no closure walk can legitimately reach them again).
     /// Unknown rows are ignored.
     pub fn forget_row(&mut self, key: &RowKey) {
-        if let Some(edges) = self.rows.remove(key) {
-            self.read_edges -= edges.readers.len() as u64;
-            self.write_edges -= edges.writers.len() as u64;
+        for touch in self.rows.remove(key).unwrap_or_default().values() {
+            self.read_edges -= u64::from(touch.reads > 0);
+            self.write_edges -= u64::from(touch.writes > 0);
         }
     }
 
     /// Times of requests that read **or** wrote `key` at or after
-    /// `since`, ascending and deduplicated — the closure's frontier
-    /// expansion (a later writer is tainted too: re-executing the
-    /// tainted writer rolls the row back under it).
+    /// `since`, ascending and deduplicated.
     pub fn touchers_since(&self, key: &RowKey, since: LogicalTime) -> Vec<LogicalTime> {
-        let Some(edges) = self.rows.get(key) else {
-            return Vec::new();
-        };
-        let mut r = edges.readers.range(since..).map(|(t, _)| *t).peekable();
-        let mut w = edges.writers.range(since..).map(|(t, _)| *t).peekable();
-        let mut out = Vec::new();
-        loop {
-            let next = match (r.peek(), w.peek()) {
-                (Some(&a), Some(&b)) => {
-                    if a <= b {
-                        if a == b {
-                            w.next();
-                        }
-                        r.next().unwrap()
-                    } else {
-                        w.next().unwrap()
-                    }
-                }
-                (Some(_), None) => r.next().unwrap(),
-                (None, Some(_)) => w.next().unwrap(),
-                (None, None) => break,
-            };
-            out.push(next);
-        }
-        out
-    }
-
-    /// True when the request that executed at `time` still has at least
-    /// one edge (of either kind) into `key`. The repair log asks this
-    /// after dropping an edge, to decide whether the row's posting for
-    /// that request has lost its last justification.
-    pub fn touches(&self, key: &RowKey, time: LogicalTime) -> bool {
         self.rows
             .get(key)
-            .is_some_and(|e| e.readers.contains_key(&time) || e.writers.contains_key(&time))
+            .map(|times| times.range(since..).map(|(&t, _)| t).collect())
+            .unwrap_or_default()
     }
 
     /// Every edge with its multiplicity, in `(row, time, kind)` order —
@@ -173,24 +154,21 @@ impl AccessGraph {
     /// graphs built by different routes are the same graph.
     pub fn edges(&self) -> Vec<(RowKey, LogicalTime, AccessKind, u32)> {
         let mut out = Vec::new();
-        for (key, edges) in &self.rows {
-            for (kind, side) in [
-                (AccessKind::Read, &edges.readers),
-                (AccessKind::Write, &edges.writers),
-            ] {
-                out.extend(side.iter().map(|(&t, &n)| (key.clone(), t, kind, n)));
+        for (key, times) in &self.rows {
+            for (&t, touch) in times {
+                for (kind, n) in [
+                    (AccessKind::Read, touch.reads),
+                    (AccessKind::Write, touch.writes),
+                ] {
+                    if n > 0 {
+                        out.push((key.clone(), t, kind, n));
+                    }
+                }
             }
         }
-        out.sort_by(|a, b| (&a.0, a.1, a.2 as u8).cmp(&(&b.0, b.1, b.2 as u8)));
+        // Stable: each row's edges are already in (time, kind) order.
+        out.sort_by(|a, b| a.0.cmp(&b.0));
         out
-    }
-
-    /// Times of requests that wrote `key` at or after `since`.
-    pub fn writers_since(&self, key: &RowKey, since: LogicalTime) -> Vec<LogicalTime> {
-        self.rows
-            .get(key)
-            .map(|e| e.writers.range(since..).map(|(t, _)| *t).collect())
-            .unwrap_or_default()
     }
 
     /// Aggregate sizes (rows tracked, distinct edges by kind).
@@ -213,15 +191,19 @@ impl AccessGraph {
     pub fn check_integrity(&self) -> Result<(), String> {
         let mut reads = 0u64;
         let mut writes = 0u64;
-        for (key, edges) in &self.rows {
-            if edges.is_empty() {
+        for (key, times) in &self.rows {
+            if times.is_empty() {
                 return Err(format!("access graph keeps empty row {key}"));
             }
-            if edges.readers.values().any(|&c| c == 0) || edges.writers.values().any(|&c| c == 0) {
-                return Err(format!("access graph keeps zero-count edge for {key}"));
+            for (t, touch) in times {
+                if touch.is_empty() {
+                    return Err(format!(
+                        "access graph keeps an empty entry for {key} at {t}"
+                    ));
+                }
+                reads += u64::from(touch.reads > 0);
+                writes += u64::from(touch.writes > 0);
             }
-            reads += edges.readers.len() as u64;
-            writes += edges.writers.len() as u64;
         }
         if reads != self.read_edges || writes != self.write_edges {
             return Err(format!(
@@ -255,7 +237,6 @@ mod tests {
 
         assert_eq!(g.touchers_since(&k(7), t(2)), vec![t(2), t(4)]);
         assert_eq!(g.touchers_since(&k(7), t(5)), Vec::new());
-        assert_eq!(g.writers_since(&k(7), t(2)), vec![t(4)]);
         assert_eq!(g.touchers_since(&k(9), t(0)), Vec::new());
         assert_eq!(
             g.stats(),
@@ -266,14 +247,6 @@ mod tests {
             }
         );
         g.check_integrity().unwrap();
-    }
-
-    #[test]
-    fn a_request_reading_and_writing_the_same_row_appears_once() {
-        let mut g = AccessGraph::new();
-        g.record(t(5), &k(1), AccessKind::Read);
-        g.record(t(5), &k(1), AccessKind::Write);
-        assert_eq!(g.touchers_since(&k(1), t(0)), vec![t(5)]);
     }
 
     #[test]
@@ -298,13 +271,26 @@ mod tests {
         assert!(g.is_empty());
     }
 
+    /// One action that reads (twice) and writes one row holds one entry
+    /// for it, counted once in each edge counter; the entry and the row
+    /// live until both kinds are forgotten.
     #[test]
-    fn touches_follows_either_kind_and_edges_lists_multiplicities() {
+    fn a_read_and_a_write_at_one_time_are_one_entry() {
         let mut g = AccessGraph::new();
         g.record(t(1), &k(1), AccessKind::Read);
         g.record(t(1), &k(1), AccessKind::Read);
         g.record(t(1), &k(1), AccessKind::Write);
         g.record(t(2), &k(2), AccessKind::Read);
+        assert_eq!(g.rows[&k(1)].len(), 1);
+        assert_eq!(g.touchers_since(&k(1), t(0)), vec![t(1)]);
+        assert_eq!(
+            g.stats(),
+            AccessStats {
+                rows: 2,
+                read_edges: 2,
+                write_edges: 1
+            }
+        );
         assert_eq!(
             g.edges(),
             vec![
@@ -313,13 +299,18 @@ mod tests {
                 (k(2), t(2), AccessKind::Read, 1),
             ]
         );
-        assert!(g.touches(&k(1), t(1)));
-        assert!(!g.touches(&k(1), t(2)));
         g.forget(t(1), &k(1), AccessKind::Read);
         g.forget(t(1), &k(1), AccessKind::Read);
-        assert!(g.touches(&k(1), t(1)), "the write edge still justifies it");
+        assert_eq!(
+            g.touchers_since(&k(1), t(0)),
+            vec![t(1)],
+            "the write keeps the row"
+        );
+        assert_eq!((g.stats().read_edges, g.stats().write_edges), (1, 1));
         g.forget(t(1), &k(1), AccessKind::Write);
-        assert!(!g.touches(&k(1), t(1)));
+        assert!(!g.rows.contains_key(&k(1)));
+        assert_eq!(g.stats().rows, 1);
+        g.check_integrity().unwrap();
     }
 
     #[test]

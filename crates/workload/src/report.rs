@@ -1,7 +1,7 @@
 //! Paper-format renderers for every table and figure.
 //!
 //! Each `render_*` function returns the text block the `report` binary
-//! prints and `EXPERIMENTS.md` records; tests assert the structure.
+//! prints; tests assert the structure.
 
 use aire_apps::apis;
 use aire_http::aire::RepairKind;

@@ -57,7 +57,7 @@
 //! | [`vdb`] | the versioned row store (rollback-to-time, predicates) |
 //! | [`net`] | the network registry (availability, certificates, peer transports) |
 //! | [`transport`] | real sockets: framing, the TCP dialer, the node server |
-//! | [`log`] | the repair log and its taint indexes |
+//! | [`log`] | the repair log, its row and scan indexes, and the one taint query (`dependents`) |
 //! | [`obs`] | the observability plane: trace contexts, span ring, metrics registry |
 //! | [`web`] | the Django-like framework applications are written in |
 //! | [`core`] | **the paper's contribution**: the repair controller + the `/aire/v1/admin/*` control plane |
@@ -65,8 +65,8 @@
 //! | [`apps`] | Askbot, Dpaste, OAuth, spreadsheets, object store, vKV, company |
 //! | [`workload`] | attack scenarios and table/figure harnesses |
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! reproduced evaluation.
+//! See `docs/ARCHITECTURE.md` for the system inventory and
+//! `BENCHMARK.json` for the end-to-end benchmark.
 
 #![deny(unsafe_code)]
 
