@@ -306,19 +306,6 @@ impl App for Askbot {
         n.set("new_email", change.new_payload.clone().unwrap_or(Jv::Null));
         Some(n)
     }
-
-    /// Askbot's tables are cross-linked (questions and answers carry
-    /// user foreign keys; the daily summary scans everything), so it
-    /// shards by [`policy::SHARD_AFFINITY`]: one deterministic shard
-    /// handles all traffic, which exercises striped seq allocation and
-    /// routing at `--workers N` without changing any digest.
-    fn sharded(&self) -> bool {
-        true
-    }
-
-    fn shard_key(&self, _req: &HttpRequest) -> Option<String> {
-        Some(policy::SHARD_AFFINITY.to_string())
-    }
 }
 
 #[cfg(test)]

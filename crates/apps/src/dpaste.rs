@@ -102,16 +102,6 @@ impl App for Dpaste {
         n.set("new", change.new_payload.clone().unwrap_or(Jv::Null));
         Some(n)
     }
-
-    /// Downloads reference pastes across users, so dpaste shards by the
-    /// constant [`policy::SHARD_AFFINITY`] key (see `Askbot`).
-    fn sharded(&self) -> bool {
-        true
-    }
-
-    fn shard_key(&self, _req: &aire_http::HttpRequest) -> Option<String> {
-        Some(policy::SHARD_AFFINITY.to_string())
-    }
 }
 
 #[cfg(test)]

@@ -47,17 +47,13 @@
 
 use std::net::SocketAddr;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use aire_client::AdminClient;
-use aire_core::{
-    Controller, ControllerConfig, RepairScope, ShardSpec, ShardedRuntime, StoreBudget, WorkerPump,
-    WorkerSetup,
-};
+use aire_core::{Controller, ControllerConfig, RepairScope, StoreBudget};
 use aire_net::{Certificate, Network};
 use aire_obs::{render_prometheus, MetricsSnapshot};
-use aire_transport::{NodeServer, Pump, ServeOutcome, TcpTransport, Watch};
+use aire_transport::{NodeServer, ServeOutcome, TcpTransport};
 use aire_web::App;
 
 /// Every unit-constructible application a node can host, by service
@@ -174,12 +170,6 @@ pub struct NodeOptions {
     /// on-reconnect certificate re-validation — that the identity they
     /// pooled against is gone.
     pub cert_serial: Option<u64>,
-    /// Shard workers. `1` (the default) is the classic single-threaded
-    /// daemon; `N > 1` runs the shard-per-core runtime
-    /// ([`aire_core::ShardedRuntime`]): N worker threads, each owning
-    /// its slice of every hosted service's state, with requests routed
-    /// by shard key and repair by request-seq stripe.
-    pub workers: usize,
     /// How every hosted controller expands its local-repair agenda:
     /// `reactive` (the paper's rollback-discovered default), `full`
     /// (re-execute everything after the intrusion point), or
@@ -207,7 +197,7 @@ usage:
   aire-noded --service <spec> [--service <spec>]...
              [--data ADDR] [--admin ADDR]
              [--peer NAME=DATA_ADDR/ADMIN_ADDR]... [--max-runtime-secs N]
-             [--cert-serial N] [--workers N]
+             [--cert-serial N]
              [--repair-scope reactive|full|selective] [--trace]
              [--store-budget-bytes N]
   aire-noded --metrics ADDR --service <spec> [--service <spec>]...
@@ -227,12 +217,6 @@ options:
                           frame (orphan guard)      [default 600]
   --cert-serial N         base certificate serial to present (restart a
                           daemon with a new value to rotate identity)
-  --workers N             shard workers [default 1]. N > 1 runs the
-                          shard-per-core runtime: N threads, each owning
-                          a key-range slice of every hosted service's
-                          state, with admin operations fanned out and
-                          merged; recovery results are byte-identical at
-                          every worker count
   --repair-scope S        how local repair expands its agenda
                           [default reactive]. reactive discovers work as
                           rollback exposes it (the paper's behavior);
@@ -280,7 +264,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Node
     let mut peers = Vec::new();
     let mut max_runtime = Duration::from_secs(600);
     let mut cert_serial = None;
-    let mut workers = 1usize;
     let mut repair_scope = RepairScope::default();
     let mut tracing = false;
     let mut metrics = None;
@@ -331,15 +314,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Node
                         .map_err(|_| format!("--cert-serial: {v:?} is not a number"))?,
                 );
             }
-            "--workers" => {
-                let v = value("--workers")?;
-                workers = v
-                    .parse()
-                    .map_err(|_| format!("--workers: {v:?} is not a number"))?;
-                if workers == 0 {
-                    return Err("--workers: must be at least 1".to_string());
-                }
-            }
             "--repair-scope" => {
                 let v = value("--repair-scope")?;
                 repair_scope = RepairScope::parse(&v).ok_or_else(|| {
@@ -374,7 +348,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Node
         peers,
         max_runtime,
         cert_serial,
-        workers,
         repair_scope,
         tracing,
         metrics,
@@ -384,8 +357,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Node
 
 /// Builds the node (network, peer transports, one controller per hosted
 /// service, listeners), prints the ready line, and serves until
-/// shutdown or the runtime cap. `--workers N > 1` takes the sharded
-/// path (`run_sharded`) instead.
+/// shutdown or the runtime cap.
 pub fn run(opts: NodeOptions) -> Result<ServeOutcome, String> {
     let apps = opts
         .services
@@ -396,9 +368,6 @@ pub fn run(opts: NodeOptions) -> Result<ServeOutcome, String> {
         let names: Vec<String> = apps.iter().map(|(name, _)| name.clone()).collect();
         scrape_metrics(addr, &names)?;
         return Ok(ServeOutcome::Shutdown);
-    }
-    if opts.workers > 1 {
-        return run_sharded(opts, apps);
     }
     let net = Network::new();
 
@@ -463,130 +432,9 @@ pub fn run(opts: NodeOptions) -> Result<ServeOutcome, String> {
     Ok(server.serve(Some(Instant::now() + opts.max_runtime)))
 }
 
-/// Adapts a shard worker's job pump to the transport [`Pump`] seam: a
-/// worker blocked on an outgoing peer call keeps draining the jobs
-/// routed to its own shard — the cooperative discipline of the
-/// single-threaded daemon, scoped to one worker.
-struct WorkerJobPump(WorkerPump);
-
-impl Pump for WorkerJobPump {
-    fn pump_once(&self) -> bool {
-        self.0.pump_once()
-    }
-
-    fn watch(&self, watch: &mut Watch) {
-        watch.read(&self.0.wake_fd());
-    }
-}
-
-/// The `--workers N > 1` deployment: launches the shard-per-core
-/// runtime (N worker threads, each building its own network, peer
-/// dialers, and controllers on its own thread) and binds the listeners
-/// in sharded mode, where the serve loop routes frames to workers
-/// through tickets and never blocks on one.
-fn run_sharded(
-    opts: NodeOptions,
-    apps: Vec<(String, Rc<dyn App>)>,
-) -> Result<ServeOutcome, String> {
-    // The certificates this daemon presents: the same serials the
-    // unsharded daemon's registry would issue in registration order
-    // (1, 2, ...), with the --cert-serial override applied identically.
-    // Workers pre-seed these into their own registries below, so every
-    // shard presents exactly what the greeting advertises.
-    let hosted: Vec<(String, Certificate)> = apps
-        .iter()
-        .enumerate()
-        .map(|(i, (name, _))| {
-            let serial = opts
-                .cert_serial
-                .map_or(i as u64 + 1, |base| base + i as u64);
-            let cert = Certificate {
-                subject: name.clone(),
-                serial,
-            };
-            (name.clone(), cert)
-        })
-        .collect();
-
-    // The app factory re-parses the validated spec strings: specs are
-    // `Send`, apps (`Rc`-based) are not, and each worker must build its
-    // own copies on its own thread.
-    let specs = opts.services.clone();
-    let app_factory: aire_core::AppFactory = Arc::new(move || {
-        specs
-            .iter()
-            .map(|s| parse_service_spec(s).expect("specs were validated at startup"))
-            .collect()
-    });
-
-    let peers = opts.peers.clone();
-    let certs = hosted.clone();
-    let setup: aire_core::SetupHook = Arc::new(move |ws: WorkerSetup| {
-        // Each worker dials its own peer connections, pumped by the
-        // worker's own job queue while calls wait.
-        let pump: Rc<dyn Pump> = Rc::new(WorkerJobPump(ws.pump));
-        let mut transports = Vec::new();
-        for peer in &peers {
-            let t = TcpTransport::new(peer.name.clone(), peer.data, peer.admin);
-            t.set_pump(Rc::downgrade(&pump));
-            // Each worker's pool counters merge into its primary
-            // service's registry; the admin fan-out sums them across
-            // shards, so a scrape sees the whole daemon's pool health.
-            t.set_metrics_registry(ws.registry.clone());
-            let t = Rc::new(t);
-            ws.net.register_remote(peer.name.clone(), t.clone());
-            transports.push(t);
-        }
-        // Pre-seed the hosted certificates (registration keeps a
-        // certificate installed beforehand), so worker-local
-        // cross-service validation agrees with the greeting.
-        for (name, cert) in &certs {
-            ws.net.install_certificate(name, cert.clone());
-        }
-        Box::new((pump, transports))
-    });
-
-    let runtime = ShardedRuntime::launch(ShardSpec {
-        workers: opts.workers,
-        config: ControllerConfig {
-            repair_scope: opts.repair_scope,
-            tracing: opts.tracing,
-            store_budget: opts.store_budget,
-            ..ControllerConfig::default()
-        },
-        apps: app_factory,
-        setup,
-    });
-
-    // The serving thread's own network stays empty: every request is
-    // submitted to the shard front, which owns routing and merging.
-    let server = NodeServer::bind_sharded(
-        Network::new(),
-        hosted,
-        opts.data,
-        opts.admin,
-        runtime.front(),
-    )
-    .map_err(|e| format!("bind failed: {e}"))?;
-
-    use std::io::Write;
-    println!(
-        "aire-noded ready service={} data={} admin={}",
-        server.hosts().join(","),
-        server.data_addr(),
-        server.admin_addr()
-    );
-    let _ = std::io::stdout().flush();
-
-    let outcome = server.serve(Some(Instant::now() + opts.max_runtime));
-    runtime.shutdown();
-    Ok(outcome)
-}
-
 /// The `--metrics ADDR` scrape mode: dials the operator listener at
-/// `addr`, fetches every named service's metrics snapshot (a sharded
-/// daemon answers with the barrier-merged sum over its workers), merges
-/// them into one node-wide snapshot, and prints the Prometheus-style
+/// `addr`, fetches every named service's metrics snapshot, merges them
+/// into one node-wide snapshot, and prints the Prometheus-style
 /// text exposition to stdout — `aire-noded --metrics` is the scraper,
 /// no curl or HTTP stack required.
 fn scrape_metrics(addr: SocketAddr, services: &[String]) -> Result<(), String> {
@@ -724,17 +572,17 @@ pub mod spawn {
 
     /// The environment variable whose whitespace-split words every
     /// [`spawn_node`] call passes to its daemon — the hook that lets a CI
-    /// matrix run the whole existing cluster suite sharded
-    /// (`--workers 4`), traced (`--trace`), under another repair scope,
-    /// or under a store budget without touching the tests. The words go
-    /// through the daemon's own parser, so a typo fails the spawn loudly
-    /// instead of silently testing the defaults.
+    /// matrix run the whole existing cluster suite traced (`--trace`),
+    /// under another repair scope, or under a store budget without
+    /// touching the tests. The words go through the daemon's own parser,
+    /// so a typo fails the spawn loudly instead of silently testing the
+    /// defaults.
     pub const EXTRA_ARGS_ENV: &str = "AIRE_NODED_EXTRA_ARGS";
 
     /// The daemon command line [`spawn_node`] builds. `extra`'s words
     /// come first and the caller's explicit flags after them: the last
     /// occurrence of a flag wins in [`super::parse_args`], so a test that
-    /// pins a worker count or scope keeps it whatever the matrix says.
+    /// pins a scope keeps it whatever the matrix says.
     #[allow(clippy::too_many_arguments)]
     fn daemon_args(
         extra: &str,
@@ -744,7 +592,6 @@ pub mod spawn {
         peers: &[(String, SocketAddr, SocketAddr)],
         max_runtime_secs: u64,
         cert_serial: Option<u64>,
-        workers: Option<usize>,
         repair_scope: Option<RepairScope>,
         trace: bool,
     ) -> Vec<String> {
@@ -758,9 +605,6 @@ pub mod spawn {
         flag("--max-runtime-secs", max_runtime_secs.to_string());
         if let Some(serial) = cert_serial {
             flag("--cert-serial", serial.to_string());
-        }
-        if let Some(w) = workers {
-            flag("--workers", w.to_string());
         }
         if let Some(scope) = repair_scope {
             flag("--repair-scope", scope.name().to_string());
@@ -779,10 +623,9 @@ pub mod spawn {
     /// ready line confirms both listeners are bound. `peers` are
     /// `(name, data, admin)` triples for the rest of the cluster;
     /// `cert_serial` (if any) is forwarded as `--cert-serial` so a
-    /// restarted daemon presents a rotated identity; `workers` and
-    /// `repair_scope` (if any) are forwarded as `--workers` and
-    /// `--repair-scope`; `trace` adds `--trace`. The words of
-    /// [`EXTRA_ARGS_ENV`] precede all of them.
+    /// restarted daemon presents a rotated identity; `repair_scope` (if
+    /// any) is forwarded as `--repair-scope`; `trace` adds `--trace`.
+    /// The words of [`EXTRA_ARGS_ENV`] precede all of them.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn_node(
         exe: &Path,
@@ -792,7 +635,6 @@ pub mod spawn {
         peers: &[(String, SocketAddr, SocketAddr)],
         max_runtime_secs: u64,
         cert_serial: Option<u64>,
-        workers: Option<usize>,
         repair_scope: Option<RepairScope>,
         trace: bool,
     ) -> Result<SpawnedNode, String> {
@@ -805,7 +647,6 @@ pub mod spawn {
             peers,
             max_runtime_secs,
             cert_serial,
-            workers,
             repair_scope,
             trace,
         );
@@ -845,41 +686,39 @@ pub mod spawn {
         use super::*;
         use crate::noded::parse_args;
 
-        fn args_with(extra: &str, workers: Option<usize>) -> Vec<String> {
+        fn args_with(extra: &str, scope: Option<RepairScope>) -> Vec<String> {
             let (data, admin) = free_addrs();
-            daemon_args(
-                extra,
-                &["vkv"],
-                data,
-                admin,
-                &[],
-                5,
-                None,
-                workers,
-                None,
-                false,
-            )
+            daemon_args(extra, &["vkv"], data, admin, &[], 5, None, scope, false)
         }
 
         #[test]
         fn extra_args_come_first_so_explicit_flags_win() {
-            let extra = "--workers 4 --trace --repair-scope selective";
-            let opts = parse_args(args_with(extra, Some(1))).unwrap().unwrap();
-            assert_eq!(opts.workers, 1, "the caller's pinned count holds");
+            let extra = "--trace --repair-scope selective";
+            let opts = parse_args(args_with(extra, Some(RepairScope::Full)))
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                opts.repair_scope,
+                RepairScope::Full,
+                "the caller's pinned scope holds"
+            );
             assert!(opts.tracing);
-            assert_eq!(opts.repair_scope, RepairScope::Selective);
             let opts = parse_args(args_with(extra, None)).unwrap().unwrap();
-            assert_eq!(opts.workers, 4, "an unpinned spawn follows the matrix");
+            assert_eq!(
+                opts.repair_scope,
+                RepairScope::Selective,
+                "an unpinned spawn follows the matrix"
+            );
             let opts = parse_args(args_with("", None)).unwrap().unwrap();
-            assert_eq!(opts.workers, 1);
+            assert_eq!(opts.repair_scope, RepairScope::Reactive);
             assert!(!opts.tracing);
         }
 
         #[test]
         fn a_bad_extra_value_fails_the_daemon_parser() {
-            let err = parse_args(args_with("--workers four", None)).unwrap_err();
+            let err = parse_args(args_with("--store-budget-bytes four", None)).unwrap_err();
             assert!(err.contains("not a number"), "{err}");
-            let err = parse_args(args_with("--wrokers 4", None)).unwrap_err();
+            let err = parse_args(args_with("--trcae", None)).unwrap_err();
             assert!(err.contains("unknown argument"), "{err}");
         }
     }
@@ -958,23 +797,6 @@ mod tests {
         assert_eq!(opts.peers[0].admin.port(), 7200);
         assert_eq!(opts.max_runtime, Duration::from_secs(42));
         assert_eq!(opts.cert_serial, Some(4242));
-    }
-
-    #[test]
-    fn workers_parse_and_reject_zero() {
-        let opts = parse_args(["--service", "vkv", "--workers", "4"].map(String::from))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.workers, 4);
-        let opts = parse_args(["--service", "vkv"].map(String::from))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.workers, 1);
-        let err = parse_args(["--service", "vkv", "--workers", "0"].map(String::from)).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
-        let err =
-            parse_args(["--service", "vkv", "--workers", "many"].map(String::from)).unwrap_err();
-        assert!(err.contains("not a number"), "{err}");
     }
 
     #[test]
@@ -1105,173 +927,5 @@ mod tests {
         ])
         .unwrap_err();
         assert!(err.contains("not a number"), "{err}");
-    }
-}
-
-/// The sharded runtime waits on readiness too: a completion wakes the
-/// serve loop through the shard front's bell, and a job wakes a worker
-/// blocked on a peer call through its queue's bell.
-#[cfg(test)]
-mod readiness_tests {
-    use super::*;
-    use std::sync::mpsc;
-
-    use aire_http::{HttpRequest, HttpResponse, Status, Url};
-    use aire_net::{Endpoint, Transport};
-    use aire_transport::shutdown_node;
-    use aire_types::Jv;
-
-    /// Half of the transport's readiness tick (500 µs): a waiter that
-    /// woke only on its tick would answer slower than this in median.
-    const HALF_TICK: Duration = Duration::from_micros(250);
-
-    struct Echo;
-
-    impl Endpoint for Echo {
-        fn handle(&self, _req: &HttpRequest) -> HttpResponse {
-            HttpResponse::ok(Jv::Null)
-        }
-    }
-
-    fn echo() -> HttpRequest {
-        HttpRequest::get(Url::service("echo", "/"))
-    }
-
-    /// Median time of `n` calls, each made after 2 ms of silence. The
-    /// silence is stretched by a varying fraction of a tick, so the calls
-    /// do not phase-lock onto a waiter's tick and hide a missed wake-up.
-    fn idle_median(n: usize, mut call: impl FnMut()) -> Duration {
-        let mut took: Vec<Duration> = (0..n)
-            .map(|i| {
-                let spread = Duration::from_micros((i as u64 * 137) % 500);
-                std::thread::sleep(Duration::from_millis(2) + spread);
-                let start = Instant::now();
-                call();
-                start.elapsed()
-            })
-            .collect();
-        took.sort();
-        took[n / 2]
-    }
-
-    fn launch(setup: aire_core::SetupHook) -> ShardedRuntime {
-        let apps: aire_core::AppFactory = Arc::new(Vec::new);
-        ShardedRuntime::launch(ShardSpec {
-            workers: 2,
-            config: ControllerConfig::default(),
-            apps,
-            setup,
-        })
-    }
-
-    #[test]
-    fn an_idle_sharded_node_wakes_on_a_completion_not_on_its_tick() {
-        let (tx, rx) = mpsc::channel();
-        let server = std::thread::spawn(move || {
-            let runtime = launch(Arc::new(|ws: WorkerSetup| {
-                ws.net.register("echo", Rc::new(Echo));
-                Box::new(())
-            }));
-            let cert = Certificate {
-                subject: "echo".into(),
-                serial: 1,
-            };
-            let node = NodeServer::bind_sharded(
-                Network::new(),
-                vec![("echo".into(), cert)],
-                "127.0.0.1:0",
-                "127.0.0.1:0",
-                runtime.front(),
-            )
-            .unwrap();
-            tx.send((node.data_addr(), node.admin_addr())).unwrap();
-            let outcome = node.serve(Some(Instant::now() + Duration::from_secs(60)));
-            runtime.shutdown();
-            outcome
-        });
-        let (data, admin) = rx.recv().unwrap();
-        let dialer = TcpTransport::new("echo", data, admin);
-        for _ in 0..20 {
-            dialer.call(&echo()).unwrap();
-        }
-        let median = idle_median(200, || {
-            dialer.call(&echo()).unwrap();
-        });
-        shutdown_node(admin, Duration::from_secs(5)).unwrap();
-        assert_eq!(server.join().unwrap(), ServeOutcome::Shutdown);
-        assert!(median < HALF_TICK, "median idle round trip {median:?}");
-    }
-
-    /// Answers only once released: a peer busy with a long call.
-    struct Slow {
-        started: mpsc::Sender<()>,
-        release: mpsc::Receiver<()>,
-    }
-
-    impl Endpoint for Slow {
-        fn handle(&self, _req: &HttpRequest) -> HttpResponse {
-            self.started.send(()).unwrap();
-            self.release.recv().unwrap();
-            HttpResponse::ok(Jv::Null)
-        }
-    }
-
-    /// Calls the slow peer through its worker's network.
-    struct Caller(Network);
-
-    impl Endpoint for Caller {
-        fn handle(&self, _req: &HttpRequest) -> HttpResponse {
-            self.0
-                .deliver(&HttpRequest::get(Url::service("slow", "/")))
-                .unwrap_or_else(|e| HttpResponse::error(Status::UNAVAILABLE, e.to_string()))
-        }
-    }
-
-    #[test]
-    fn a_worker_blocked_on_a_peer_call_wakes_for_a_job_routed_to_it() {
-        let (started_tx, started) = mpsc::channel();
-        let (release, release_rx) = mpsc::channel();
-        let (tx, rx) = mpsc::channel();
-        let peer = std::thread::spawn(move || {
-            let net = Network::new();
-            let slow = Slow {
-                started: started_tx,
-                release: release_rx,
-            };
-            let cert = net.register("slow", Rc::new(slow));
-            let node = NodeServer::bind(net, "slow", cert, "127.0.0.1:0", "127.0.0.1:0").unwrap();
-            tx.send((node.data_addr(), node.admin_addr())).unwrap();
-            node.serve(Some(Instant::now() + Duration::from_secs(60)))
-        });
-        let (data, admin) = rx.recv().unwrap();
-        // `run_sharded`'s wiring: each worker dials its peers pumped by
-        // its own job queue.
-        let runtime = launch(Arc::new(move |ws: WorkerSetup| {
-            let pump: Rc<dyn Pump> = Rc::new(WorkerJobPump(ws.pump));
-            let t = Rc::new(TcpTransport::new("slow", data, admin));
-            t.set_pump(Rc::downgrade(&pump));
-            ws.net.register_remote("slow", t);
-            ws.net.register("caller", Rc::new(Caller(ws.net.clone())));
-            ws.net.register("echo", Rc::new(Echo));
-            Box::new(pump)
-        }));
-        let submitter = runtime.submitter();
-        let blocked = {
-            let s = submitter.clone();
-            std::thread::spawn(move || s.call(0, HttpRequest::get(Url::service("caller", "/"))))
-        };
-        started
-            .recv_timeout(Duration::from_secs(10))
-            .expect("worker 0 called the peer");
-        let median = idle_median(100, || {
-            submitter.call(0, echo()).unwrap();
-        });
-        release.send(()).unwrap();
-        let resp = blocked.join().unwrap().unwrap();
-        assert!(resp.status.is_success(), "{resp:?}");
-        shutdown_node(admin, Duration::from_secs(5)).unwrap();
-        assert_eq!(peer.join().unwrap(), ServeOutcome::Shutdown);
-        runtime.shutdown();
-        assert!(median < HALF_TICK, "median job wake-up {median:?}");
     }
 }

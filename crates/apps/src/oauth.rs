@@ -164,17 +164,6 @@ impl App for OAuthProvider {
         n.set("output", Jv::s(change.kind.clone()));
         Some(n)
     }
-
-    /// Token verification reads rows written by account creation and
-    /// authorization, so oauth uses the same constant affinity key as
-    /// the apps it is co-hosted with (see `Askbot`).
-    fn sharded(&self) -> bool {
-        true
-    }
-
-    fn shard_key(&self, _req: &aire_http::HttpRequest) -> Option<String> {
-        Some(policy::SHARD_AFFINITY.to_string())
-    }
 }
 
 #[cfg(test)]

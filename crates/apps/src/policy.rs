@@ -46,15 +46,6 @@ pub fn headers_credential(headers: &Headers) -> Option<String> {
     bearer(headers).map(|t| format!("bearer:{t}"))
 }
 
-/// Shard-affinity key for apps whose tables are cross-linked (askbot's
-/// questions reference users, dpaste's pastes reference sessions), so no
-/// per-request key can confine a request's effects to a row partition.
-/// Returning this constant from [`aire_web::App::shard_key`] keeps every
-/// request of the service on one deterministic shard: the striped
-/// request/response seq allocation and shard routing are exercised under
-/// `--workers N`, while digests stay byte-identical to a single worker.
-pub const SHARD_AFFINITY: &str = "aire-shard-affinity";
-
 /// Header carrying a second authentication factor for repair operations.
 ///
 /// §4's example: "a service might require a stronger form of

@@ -16,7 +16,7 @@
 //! we render them as `v<row-id>`, so a freshly repaired branch shows up
 //! as `v5`, `v6`, ... exactly as in Figure 3.
 
-use aire_http::{HttpRequest, HttpResponse, Status};
+use aire_http::{HttpResponse, Status};
 use aire_types::{jv, Jv};
 use aire_vdb::{FieldDef, FieldKind, Filter, Schema};
 use aire_web::{App, AuthorizeCtx, Ctx, Router, WebError};
@@ -25,6 +25,17 @@ use crate::policy;
 
 /// The versioned key-value store application.
 pub struct VersionedKv;
+
+/// The `keys` row (the current pointer) of `key`; answered from the
+/// `name` index.
+fn pointer_of(key: &str) -> Filter {
+    Filter::all().eq("name", key)
+}
+
+/// Every `versions` row of `key`; answered from the `key_name` index.
+fn versions_of(key: &str) -> Filter {
+    Filter::all().eq("key_name", key)
+}
 
 /// `POST /put {key, value}` — creates a new immutable version and moves
 /// the current pointer.
@@ -37,7 +48,7 @@ fn h_put(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
 /// Creates a new immutable version of `key` holding `value` and moves
 /// the current pointer to it.
 fn do_put(ctx: &mut Ctx<'_>, key: String, value: Jv) -> Result<HttpResponse, WebError> {
-    let pointer = ctx.find("keys", &Filter::all().eq("name", key.as_str()))?;
+    let pointer = ctx.find("keys", &pointer_of(&key))?;
     let parent = pointer
         .as_ref()
         .map(|(_, row)| row.int_of("current"))
@@ -65,7 +76,7 @@ fn do_put(ctx: &mut Ctx<'_>, key: String, value: Jv) -> Result<HttpResponse, Web
 fn h_put_if(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
     let key = ctx.body_str("key")?.to_string();
     let expected = ctx.body_str("expected_version")?.to_string();
-    let pointer = ctx.find("keys", &Filter::all().eq("name", key.as_str()))?;
+    let pointer = ctx.find("keys", &pointer_of(&key))?;
     let current = pointer
         .as_ref()
         .map(|(_, row)| format!("v{}", row.int_of("current")))
@@ -105,7 +116,7 @@ fn h_restore(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
 /// `GET /get?key=` — the value at the current pointer.
 fn h_get(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
     let key = ctx.query("key").unwrap_or("").to_string();
-    let Some((_, pointer)) = ctx.find("keys", &Filter::all().eq("name", key.as_str()))? else {
+    let Some((_, pointer)) = ctx.find("keys", &pointer_of(&key))? else {
         return Ok(HttpResponse::error(Status::NOT_FOUND, "no such key"));
     };
     let vid = pointer.int_of("current") as u64;
@@ -120,7 +131,7 @@ fn h_get(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
 /// branches, plus the current pointer (Figure 3's `versions(x)`).
 fn h_versions(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
     let key = ctx.query("key").unwrap_or("").to_string();
-    let rows = ctx.scan("versions", &Filter::all().eq("key_name", key.as_str()))?;
+    let rows = ctx.scan("versions", &versions_of(&key))?;
     let versions: Vec<Jv> = rows
         .iter()
         .map(|(id, v)| {
@@ -136,7 +147,7 @@ fn h_versions(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
         })
         .collect();
     let current = ctx
-        .find("keys", &Filter::all().eq("name", key.as_str()))?
+        .find("keys", &pointer_of(&key))?
         .map(|(_, row)| Jv::s(format!("v{}", row.int_of("current"))))
         .unwrap_or(Jv::Null);
     Ok(HttpResponse::ok(
@@ -148,7 +159,7 @@ fn h_versions(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
 /// (walking parent pointers), oldest first.
 fn h_history(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
     let key = ctx.query("key").unwrap_or("").to_string();
-    let Some((_, pointer)) = ctx.find("keys", &Filter::all().eq("name", key.as_str()))? else {
+    let Some((_, pointer)) = ctx.find("keys", &pointer_of(&key))? else {
         return Ok(HttpResponse::error(Status::NOT_FOUND, "no such key"));
     };
     let mut chain = Vec::new();
@@ -181,7 +192,8 @@ impl App for VersionedKv {
                     FieldDef::new("current", FieldKind::Int),
                 ],
             )
-            .with_unique("name"),
+            .with_unique("name")
+            .with_index("name"),
             // The immutable version objects: an AppVersionedModel (§6).
             Schema::new(
                 "versions",
@@ -191,6 +203,7 @@ impl App for VersionedKv {
                     FieldDef::new("parent", FieldKind::Int),
                 ],
             )
+            .with_index("key_name")
             .app_versioned(),
         ]
     }
@@ -207,22 +220,6 @@ impl App for VersionedKv {
 
     fn authorize_repair(&self, az: &AuthorizeCtx<'_>) -> bool {
         policy::same_principal(az)
-    }
-
-    /// Keys are independent of each other (there is no cross-key
-    /// operation in the API), so the store shards cleanly by key name.
-    fn sharded(&self) -> bool {
-        true
-    }
-
-    /// Every route operates on exactly one key: `POST`s carry it in the
-    /// body, `GET`s in the query string.
-    fn shard_key(&self, req: &HttpRequest) -> Option<String> {
-        req.body
-            .get("key")
-            .as_str()
-            .map(str::to_string)
-            .or_else(|| req.url.query.get("key").cloned())
     }
 }
 
@@ -251,6 +248,36 @@ mod tests {
                 Url::service("vkv", "/get").with_query("key", key),
             ))
             .unwrap()
+    }
+
+    /// `/get`, `/put`, `/history` and `/versions` find a key's rows
+    /// through the indexes, not by walking every key's rows.
+    #[test]
+    fn per_key_lookups_use_the_indexes() {
+        let mut world = World::new();
+        world.add_service(Rc::new(VersionedKv));
+        for key in ["x", "y", "z"] {
+            put(&world, key, "a");
+            put(&world, key, "b");
+        }
+        assert_eq!(get(&world, "y").body.str_of("value"), "b");
+        let snap = world.controller("vkv").snapshot();
+        let store = aire_vdb::VersionedStore::restore(VersionedKv.schemas(), snap.get("store"))
+            .expect("snapshot restores");
+        assert_eq!(
+            store.scan_plan("keys", &pointer_of("y")).unwrap(),
+            aire_vdb::ScanPlan::IndexLookup {
+                field: "name".into(),
+                candidates: 1
+            }
+        );
+        assert_eq!(
+            store.scan_plan("versions", &versions_of("y")).unwrap(),
+            aire_vdb::ScanPlan::IndexLookup {
+                field: "key_name".into(),
+                candidates: 2
+            }
+        );
     }
 
     #[test]

@@ -8,15 +8,15 @@
 //! For each tracked file the tool reads the freshly regenerated copy at
 //! the repo root and the copy committed at the baseline ref (`HEAD~1`
 //! unless overridden — the previous PR's numbers), then compares the
-//! **ratio** metrics: 4-vs-1 worker scaling, selective-vs-full taint
-//! speedup, store reclaim and delta reduction. Ratios are gated
-//! because they divide out the runner: a slower CI machine slows both
-//! sides of each ratio, while a genuine regression (sharding stops
-//! scaling, the taint closure grows) moves the ratio itself. Absolute `repairs_per_sec` numbers are printed for
-//! context but never gated.
+//! **ratio** metrics: selective-vs-full taint speedup, store reclaim
+//! and delta reduction. Ratios are gated because they divide out the
+//! runner: a slower CI machine slows both sides of each ratio, while a
+//! genuine regression (the taint closure grows, compaction stops
+//! reclaiming) moves the ratio itself. Absolute timings and byte counts
+//! are printed for context but never gated.
 //!
-//! A metric regresses when it falls below `baseline * (1 - tolerance)`;
-//! the tolerance is 25% unless `AIRE_TREND_TOLERANCE_PCT` overrides it.
+//! A metric regresses when it falls below `baseline * (1 - tolerance)`,
+//! with the tolerance fixed at [`TOLERANCE_PCT`].
 //! Any regression exits 1 (failing the CI step). Missing baselines —
 //! first commit, file not yet committed at the ref, no git — skip that
 //! file with a note rather than failing: a gate that cannot find its
@@ -32,17 +32,12 @@ use aire_types::Jv;
 /// The files the gate watches, each with the dotted paths of its ratio
 /// metrics (higher is better for every one of them).
 const GATES: &[(&str, &[&str])] = &[
-    ("BENCH_shard.json", &["speedup_4_vs_1"]),
     ("BENCH_taint.json", &["speedup_selective_vs_full"]),
     ("BENCH_store.json", &["reclaim_ratio", "delta.reduction"]),
 ];
 
 /// Context-only series printed beside each gated file.
 const CONTEXT: &[(&str, &[&str])] = &[
-    (
-        "BENCH_shard.json",
-        &["workers_1.repairs_per_sec", "workers_4.repairs_per_sec"],
-    ),
     ("BENCH_taint.json", &["full.micros", "selective.micros"]),
     (
         "BENCH_store.json",
@@ -53,6 +48,9 @@ const CONTEXT: &[(&str, &[&str])] = &[
         ],
     ),
 ];
+
+/// How far (in percent) a ratio may fall below its baseline.
+const TOLERANCE_PCT: f64 = 25.0;
 
 /// Walks a dotted path through a decoded report and coerces the leaf to
 /// a number (speedups are committed as formatted strings).
@@ -99,11 +97,7 @@ fn main() {
             }
         }
     }
-    let tolerance_pct: f64 = env::var("AIRE_TREND_TOLERANCE_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25.0);
-    println!("trend_check: baseline {reference}, tolerance {tolerance_pct}%");
+    println!("trend_check: baseline {reference}, tolerance {TOLERANCE_PCT}%");
 
     let mut regressions = 0usize;
     for (file, paths) in GATES {
@@ -128,7 +122,7 @@ fn main() {
                 println!("  {file} {path}: metric missing on one side, skipped");
                 continue;
             };
-            let floor = then * (1.0 - tolerance_pct / 100.0);
+            let floor = then * (1.0 - TOLERANCE_PCT / 100.0);
             let verdict = if now < floor { "REGRESSED" } else { "ok" };
             println!("  {file} {path}: {then:.2} -> {now:.2} [{verdict}]");
             if now < floor {
@@ -147,7 +141,7 @@ fn main() {
         }
     }
     if regressions > 0 {
-        eprintln!("trend_check: {regressions} regression(s) beyond {tolerance_pct}% tolerance");
+        eprintln!("trend_check: {regressions} regression(s) beyond {TOLERANCE_PCT}% tolerance");
         std::process::exit(1);
     }
     println!("trend_check: no regressions");

@@ -580,8 +580,7 @@ impl AdminClient {
         }
     }
 
-    /// The merged metrics snapshot (counters, gauges, histograms). On a
-    /// sharded daemon this is the sum over every worker's registry.
+    /// The metrics snapshot (counters, gauges, histograms).
     pub fn metrics_snapshot(&self) -> AireResult<aire_obs::MetricsSnapshot> {
         match self.invoke(AdminOp::MetricsSnapshot)? {
             AdminResponse::Metrics { snapshot } => Ok(snapshot),
@@ -590,7 +589,7 @@ impl AdminClient {
     }
 
     /// The retained trace spans and how many were evicted from the span
-    /// ring. Spans from a sharded daemon arrive sorted by (trace, span).
+    /// ring.
     pub fn trace_dump(&self) -> AireResult<(Vec<aire_obs::Span>, u64)> {
         match self.invoke(AdminOp::TraceDump)? {
             AdminResponse::Trace { spans, dropped } => Ok((spans, dropped)),

@@ -132,8 +132,8 @@ pub enum AdminOp {
         /// The intrusion point (a past request on this service).
         request_id: RequestId,
     },
-    /// A merged image of the metrics registry — counters, gauges and
-    /// histograms, shard-merged under the barrier front. Renders as
+    /// An image of the metrics registry — counters, gauges and
+    /// histograms. Renders as
     /// Prometheus text via `aire_obs::render_prometheus`.
     MetricsSnapshot,
     /// The retained span ring plus its drop counter, for assembling
@@ -501,51 +501,6 @@ impl AdminStats {
     }
 }
 
-/// Per-shard attribution inside a merged `taint_stats` response: the
-/// same four graph counts, but for one worker's log slice, so a skewed
-/// closure (one shard holding most of the taint) is visible instead of
-/// being averaged away by the summed totals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardTaint {
-    /// The worker index (0 for an unsharded controller).
-    pub shard: u32,
-    /// Live actions in this shard's log slice.
-    pub actions: usize,
-    /// Distinct rows with a recorded access edge on this shard.
-    pub rows: usize,
-    /// Distinct (request, row) read edges on this shard.
-    pub read_edges: usize,
-    /// Distinct (request, row) write edges on this shard.
-    pub write_edges: usize,
-}
-
-impl ShardTaint {
-    /// Lossless serialization.
-    pub fn to_jv(&self) -> Jv {
-        let mut m = Jv::map();
-        m.set("shard", Jv::i(self.shard as i64));
-        m.set("actions", Jv::i(self.actions as i64));
-        m.set("rows", Jv::i(self.rows as i64));
-        m.set("read_edges", Jv::i(self.read_edges as i64));
-        m.set("write_edges", Jv::i(self.write_edges as i64));
-        m
-    }
-
-    /// Parses the form produced by [`ShardTaint::to_jv`].
-    pub fn from_jv(v: &Jv) -> Result<ShardTaint, String> {
-        Ok(ShardTaint {
-            shard: v
-                .get("shard")
-                .as_int()
-                .ok_or("shard taint entry: missing \"shard\"")? as u32,
-            actions: v.int_of("actions") as usize,
-            rows: v.int_of("rows") as usize,
-            read_edges: v.int_of("read_edges") as usize,
-            write_edges: v.int_of("write_edges") as usize,
-        })
-    }
-}
-
 /// The typed result of one [`AdminOp`], carried back as the HTTP
 /// response body. Failures travel as HTTP error statuses, not as a
 /// variant — a non-OK response never decodes as an `AdminResponse`.
@@ -621,10 +576,6 @@ pub enum AdminResponse {
         /// The controller's configured repair scope
         /// (`reactive`/`full`/`selective`).
         scope: String,
-        /// Per-shard attribution (one entry per worker, ascending shard
-        /// index; a single entry for an unsharded controller), so the
-        /// summed totals above cannot hide a skewed closure.
-        shards: Vec<ShardTaint>,
     },
     /// `taint_closure`: the selective-repair footprint of one request.
     TaintClosure {
@@ -642,7 +593,7 @@ pub enum AdminResponse {
     },
     /// `trace_dump`: the retained span ring.
     Trace {
-        /// Retained spans, oldest first (shard-merged in sharded mode).
+        /// Retained spans, oldest first.
         spans: Vec<Span>,
         /// Spans evicted from the ring(s) since tracing began.
         dropped: u64,
@@ -736,14 +687,12 @@ impl AdminResponse {
                 read_edges,
                 write_edges,
                 scope,
-                shards,
             } => {
                 m.set("actions", Jv::i(*actions as i64));
                 m.set("rows", Jv::i(*rows as i64));
                 m.set("read_edges", Jv::i(*read_edges as i64));
                 m.set("write_edges", Jv::i(*write_edges as i64));
                 m.set("scope", Jv::s(scope.clone()));
-                m.set("shards", Jv::list(shards.iter().map(|s| s.to_jv())));
             }
             AdminResponse::TaintClosure { total, tainted } => {
                 m.set("total", Jv::i(*total as i64));
@@ -849,14 +798,6 @@ impl AdminResponse {
                 read_edges: count("read_edges")?,
                 write_edges: count("write_edges")?,
                 scope: v.str_of("scope").to_string(),
-                // Tolerant of pre-breakdown peers: missing list → empty.
-                shards: v
-                    .get("shards")
-                    .as_list()
-                    .unwrap_or(&[])
-                    .iter()
-                    .map(ShardTaint::from_jv)
-                    .collect::<Result<_, _>>()?,
             },
             "taint_closure" => AdminResponse::TaintClosure {
                 total: count("total")?,
@@ -1059,31 +1000,8 @@ mod tests {
             read_edges: 9,
             write_edges: 4,
             scope: "selective".into(),
-            shards: vec![
-                ShardTaint {
-                    shard: 0,
-                    actions: 7,
-                    rows: 3,
-                    read_edges: 5,
-                    write_edges: 2,
-                },
-                ShardTaint {
-                    shard: 1,
-                    actions: 5,
-                    rows: 2,
-                    read_edges: 4,
-                    write_edges: 2,
-                },
-            ],
         };
         assert_eq!(AdminResponse::from_jv(&resp.to_jv()).unwrap(), resp);
-        // A pre-breakdown peer's response (no "shards") still decodes.
-        let mut legacy = resp.to_jv();
-        legacy.set("shards", Jv::Null);
-        match AdminResponse::from_jv(&legacy).unwrap() {
-            AdminResponse::TaintStats { shards, .. } => assert!(shards.is_empty()),
-            other => panic!("expected taint_stats, got {other:?}"),
-        }
         let resp = AdminResponse::TaintClosure {
             total: 12,
             tainted: vec![RequestId::new("askbot", 3), RequestId::new("askbot", 7)],
@@ -1114,7 +1032,6 @@ mod tests {
                 span_id: 6,
                 parent_span: 0,
                 service: "askbot".into(),
-                shard: Some(1),
                 name: "flush_queue".into(),
             }],
             dropped: 3,

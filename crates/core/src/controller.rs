@@ -22,7 +22,7 @@ use crate::incoming::{IncomingQueue, PendingSeed, RepairMode};
 use crate::protocol::{self, RepairBatch, RepairMessage, RepairOp};
 use crate::queue::{OutgoingQueues, QueueKey, QueuedRepair};
 use crate::repair::{EngineState, RepairEngine};
-use crate::runtime::{build_record, RecordingRuntime, ResponseSeqs, Trace};
+use crate::runtime::{build_record, RecordingRuntime, Trace};
 use crate::stats::ControllerStats;
 use crate::taint::RepairScope;
 
@@ -71,13 +71,6 @@ pub struct ControllerConfig {
     pub rng_seed: u64,
     /// Starting value of the service's wall-clock-ish counter.
     pub clock_base_millis: i64,
-    /// This controller's slot in a sharded daemon: `(index, count)`.
-    /// Shard `index` of `count` allocates interleaved request seqs
-    /// `index+1, index+1+count, index+1+2*count, ...` so request ids stay
-    /// unique across the daemon's workers and a repair of seq `s` can be
-    /// routed back to shard `(s-1) % count` without a lookup. The default
-    /// `(0, 1)` reproduces the unsharded sequence `1, 2, 3, ...` exactly.
-    pub shard: (u32, u32),
     /// How local-repair passes build their agenda: `Reactive` (the
     /// paper's rollback-discovers-dependents default), `Full`
     /// (re-execute everything after the intrusion point), or
@@ -99,7 +92,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             rng_seed: 0xA17E,
             clock_base_millis: 1_700_000_000_000,
-            shard: (0, 1),
             repair_scope: RepairScope::default(),
             tracing: false,
             store_budget: StoreBudget::Unbounded,
@@ -128,32 +120,21 @@ pub(crate) struct ServiceCore {
     pub stats: ControllerStats,
     pub admin_notices: Vec<Jv>,
     pub notifications: Vec<RepairProblem>,
-    /// Striped request-id allocation slot ([`ControllerConfig::shard`]).
-    pub shard_index: u64,
-    pub shard_count: u64,
 }
 
 impl ServiceCore {
-    /// Allocates the next request seq. `next_request_seq` stores the
-    /// *allocation count* `n`; the seq handed out is
-    /// `n * shard_count + shard_index + 1`, so the unsharded `(0, 1)`
-    /// slot yields `1, 2, 3, ...` (seq == count, as before) and shard
-    /// `s` of `W` yields the `s`-stripe. Keeping the counter as a count
-    /// also keeps snapshots identical across worker counts.
+    /// Allocates the next request seq: `1, 2, 3, ...`, so
+    /// `next_request_seq` is both the last seq handed out and the
+    /// number allocated so far.
     pub(crate) fn alloc_request_seq(&mut self) -> u64 {
-        let n = self.next_request_seq;
         self.next_request_seq += 1;
-        n * self.shard_count.max(1) + self.shard_index + 1
+        self.next_request_seq
     }
 
-    /// Whether `seq` lies in this shard's stripe and below its
-    /// allocation watermark — i.e. this controller has already handed it
-    /// out. Used to distinguish GONE (collected history) from NOT_FOUND.
+    /// Whether this controller has already handed out `seq`. Used to
+    /// distinguish GONE (collected history) from NOT_FOUND.
     pub(crate) fn request_seq_allocated(&self, seq: u64) -> bool {
-        let count = self.shard_count.max(1);
-        seq >= 1
-            && (seq - 1) % count == self.shard_index
-            && (seq - 1) / count < self.next_request_seq
+        (1..=self.next_request_seq).contains(&seq)
     }
 }
 
@@ -231,18 +212,6 @@ impl Controller {
     /// returns it ready for registration on the network.
     pub fn new(app: Rc<dyn App>, net: Network, config: ControllerConfig) -> Rc<Controller> {
         let obs = Self::make_obs(app.name(), &config);
-        Self::new_with_obs(app, net, config, obs)
-    }
-
-    /// Like [`Controller::new`], but sharing an existing observability
-    /// plane — a sharded daemon hands each worker a per-shard [`Obs`] so
-    /// its transport and controller write into the same registry.
-    pub fn new_with_obs(
-        app: Rc<dyn App>,
-        net: Network,
-        config: ControllerConfig,
-        obs: Rc<Obs>,
-    ) -> Rc<Controller> {
         let name = ServiceName::new(app.name());
         let mut store = VersionedStore::new();
         for schema in app.schemas() {
@@ -271,8 +240,6 @@ impl Controller {
                 stats: ControllerStats::default(),
                 admin_notices: Vec::new(),
                 notifications: Vec::new(),
-                shard_index: u64::from(config.shard.0),
-                shard_count: u64::from(config.shard.1).max(1),
             }),
             app,
             router,
@@ -283,12 +250,9 @@ impl Controller {
         })
     }
 
-    /// Builds the per-(service, shard) observability plane a controller
-    /// at `config` would own — shared with the sharded runtime so a
-    /// worker can hand the same registry to its outgoing transports.
-    pub(crate) fn make_obs(service: &str, config: &ControllerConfig) -> Rc<Obs> {
-        let shard = (config.shard.1 > 1).then_some(config.shard.0);
-        Rc::new(Obs::new(service, shard, config.tracing))
+    /// Builds the observability plane a controller at `config` owns.
+    fn make_obs(service: &str, config: &ControllerConfig) -> Rc<Obs> {
+        Rc::new(Obs::new(service, config.tracing))
     }
 
     /// The service's name.
@@ -355,16 +319,8 @@ impl Controller {
         m
     }
 
-    /// Rebuilds a [`ServiceCore`] from a snapshot taken for `app`. The
-    /// shard slot comes from the restoring controller's config, not the
-    /// snapshot: `next_request_seq` is an allocation count, so a
-    /// snapshot is portable across worker counts as long as the daemon
-    /// restores every shard's snapshot into the matching slot.
-    fn core_from_snapshot(
-        app: &dyn App,
-        snap: &Jv,
-        shard: (u32, u32),
-    ) -> Result<ServiceCore, String> {
+    /// Rebuilds a [`ServiceCore`] from a snapshot taken for `app`.
+    fn core_from_snapshot(app: &dyn App, snap: &Jv) -> Result<ServiceCore, String> {
         let name = ServiceName::new(app.name());
         if snap.str_of("service") != name.as_str() {
             return Err(format!(
@@ -418,8 +374,6 @@ impl Controller {
                 .map(|l| l.to_vec())
                 .unwrap_or_default(),
             notifications,
-            shard_index: u64::from(shard.0),
-            shard_count: u64::from(shard.1).max(1),
         })
     }
 
@@ -432,7 +386,7 @@ impl Controller {
         config: ControllerConfig,
         snap: &Jv,
     ) -> Result<Rc<Controller>, String> {
-        let core = Self::core_from_snapshot(app.as_ref(), snap, config.shard)?;
+        let core = Self::core_from_snapshot(app.as_ref(), snap)?;
         let router = app.router();
         let obs = Self::make_obs(app.name(), &config);
         Ok(Rc::new(Controller {
@@ -452,7 +406,7 @@ impl Controller {
     ///
     /// Wire equivalent: [`AdminOp::Restore`].
     pub fn restore_in_place(&self, snap: &Jv) -> Result<(), String> {
-        let core = Self::core_from_snapshot(self.app.as_ref(), snap, self.config.shard)?;
+        let core = Self::core_from_snapshot(self.app.as_ref(), snap)?;
         *self.core.borrow_mut() = core;
         Ok(())
     }
@@ -624,8 +578,6 @@ impl Controller {
             stats,
             admin_notices,
             notifications,
-            shard_index,
-            shard_count,
             ..
         } = core;
         EngineState {
@@ -633,7 +585,7 @@ impl Controller {
             store,
             log,
             outgoing,
-            next_response_seq: ResponseSeqs::new(next_response_seq, *shard_index, *shard_count),
+            next_response_seq,
             stats,
             admin_notices,
             notifications,
@@ -810,8 +762,6 @@ impl Controller {
             next_response_seq,
             clock_millis,
             rng,
-            shard_index,
-            shard_count,
             ..
         } = &mut *core;
         let mut rt = RecordingRuntime {
@@ -819,7 +769,7 @@ impl Controller {
             store,
             net: &self.net,
             time,
-            next_response_seq: ResponseSeqs::new(next_response_seq, *shard_index, *shard_count),
+            next_response_seq,
             clock_millis,
             rng,
             trace: Trace::default(),
@@ -1840,16 +1790,6 @@ impl Controller {
                     read_edges: graph.read_edges as usize,
                     write_edges: graph.write_edges as usize,
                     scope: self.config.repair_scope.name().to_string(),
-                    // An unsharded controller reports itself as shard 0 of
-                    // 1; the shard front concatenates these so per-shard
-                    // attribution survives the merge.
-                    shards: vec![admin::ShardTaint {
-                        shard: self.config.shard.0,
-                        actions: core.log.len(),
-                        rows: graph.rows as usize,
-                        read_edges: graph.read_edges as usize,
-                        write_edges: graph.write_edges as usize,
-                    }],
                 })
             }
             AdminOp::TaintClosure { request_id } => {

@@ -130,7 +130,6 @@ pub mod protocol;
 pub mod queue;
 pub mod repair;
 pub mod runtime;
-pub mod shard;
 pub mod stats;
 pub mod taint;
 pub mod world;
@@ -140,10 +139,6 @@ pub use controller::{Controller, ControllerConfig, SendOutcome, StoreBudget};
 pub use incoming::{PendingSeed, RepairMode};
 pub use protocol::{RepairBatch, RepairMessage, RepairOp};
 pub use queue::{QueueKey, QueuedRepair};
-pub use shard::{
-    AppFactory, SetupHook, ShardFront, ShardSpec, ShardSubmitter, ShardedRuntime, WorkerPump,
-    WorkerSetup,
-};
 pub use stats::ControllerStats;
 pub use taint::{tainted_closure, RepairScope};
 pub use world::{PumpReport, SettleReport, StuckRepair, World};

@@ -50,7 +50,7 @@ use aire_web::{App, Compensation, Ctx, RepairProblem, Router};
 use crate::incoming::PendingSeed;
 use crate::protocol::RepairOp;
 use crate::queue::{OutgoingQueues, QueueKey};
-use crate::runtime::{build_record, final_writes, CallPlan, ReplayRuntime, ResponseSeqs, Trace};
+use crate::runtime::{build_record, final_writes, CallPlan, ReplayRuntime, Trace};
 use crate::stats::ControllerStats;
 use crate::taint::{tainted_closure, RepairScope};
 
@@ -104,7 +104,7 @@ pub struct EngineState<'a> {
     /// Outgoing repair queues.
     pub outgoing: &'a mut OutgoingQueues,
     /// Response-id allocator (for new calls discovered during replay).
-    pub next_response_seq: ResponseSeqs<'a>,
+    pub next_response_seq: &'a mut u64,
     /// Statistics.
     pub stats: &'a mut ControllerStats,
     /// Admin notices (compensations, unpropagatable repairs).
@@ -436,7 +436,7 @@ impl<'a> RepairEngine<'a> {
                 self.state.store,
                 time,
                 original.as_ref(),
-                self.state.next_response_seq.reborrow(),
+                &mut *self.state.next_response_seq,
                 &mut self.pass.fresh_ids,
             );
             let response = match self.router.dispatch(request.method, &request.url.path) {

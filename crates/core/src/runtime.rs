@@ -41,52 +41,11 @@ pub struct Trace {
     pub externals: Vec<ExternalOutput>,
 }
 
-/// Striped allocator for outgoing-call response seqs. The counter holds
-/// the *allocation count* `n`; the seq handed out is
-/// `n * stride + index + 1`, so the unsharded `(0, 1)` slot yields the
-/// classic `1, 2, 3, ...` and shard `s` of `W` workers yields the
-/// `s`-stripe — mirroring request-seq striping, which lets the shard
-/// front route an incoming `replace_response` back to the worker that
-/// assigned the response id (`shard_of_seq` inverts the stripe).
-/// Keeping the counter as a count also keeps snapshots identical
-/// across worker counts.
-pub struct ResponseSeqs<'a> {
-    count: &'a mut u64,
-    index: u64,
-    stride: u64,
-}
-
-impl<'a> ResponseSeqs<'a> {
-    /// An allocator for stripe `index` of `stride`.
-    pub fn new(count: &'a mut u64, index: u64, stride: u64) -> ResponseSeqs<'a> {
-        ResponseSeqs {
-            count,
-            index,
-            stride: stride.max(1),
-        }
-    }
-
-    /// The classic dense allocator (the unsharded `(0, 1)` slot).
-    pub fn dense(count: &'a mut u64) -> ResponseSeqs<'a> {
-        ResponseSeqs::new(count, 0, 1)
-    }
-
-    /// Allocates the next response seq in this stripe.
-    pub fn alloc(&mut self) -> u64 {
-        let n = *self.count;
-        *self.count += 1;
-        n * self.stride + self.index + 1
-    }
-
-    /// Reborrows the allocator for a shorter-lived consumer (the replay
-    /// runtime a repair pass constructs per action).
-    pub fn reborrow(&mut self) -> ResponseSeqs<'_> {
-        ResponseSeqs {
-            count: &mut *self.count,
-            index: self.index,
-            stride: self.stride,
-        }
-    }
+/// Allocates the next outgoing-call response seq from `counter`, the
+/// last seq handed out: `1, 2, 3, ...`.
+fn alloc_response_seq(counter: &mut u64) -> u64 {
+    *counter += 1;
+    *counter
 }
 
 /// The recording runtime: normal operation.
@@ -100,7 +59,7 @@ pub struct RecordingRuntime<'a> {
     /// The action's logical time; every effect lands at this instant.
     pub time: LogicalTime,
     /// Allocator for outgoing-call response ids.
-    pub next_response_seq: ResponseSeqs<'a>,
+    pub next_response_seq: &'a mut u64,
     /// The service's wall-clock-ish counter.
     pub clock_millis: &'a mut i64,
     /// The service's entropy source.
@@ -175,7 +134,10 @@ impl Runtime for RecordingRuntime<'_> {
     }
 
     fn http_call(&mut self, mut req: HttpRequest) -> HttpResponse {
-        let response_id = ResponseId::new(self.service.clone(), self.next_response_seq.alloc());
+        let response_id = ResponseId::new(
+            self.service.clone(),
+            alloc_response_seq(self.next_response_seq),
+        );
         aire::tag_outgoing_request(&mut req, &response_id, &self.notifier_url());
         let (response, failed) = match self.net.deliver(&req) {
             Ok(resp) => (resp, false),
@@ -236,7 +198,7 @@ pub struct ReplayRuntime<'a, 'o> {
     /// the runtime's borrows of the store and allocators end.
     pub original: Option<&'o ActionRecord>,
     /// Allocator for response ids of *new* outgoing calls.
-    pub next_response_seq: ResponseSeqs<'a>,
+    pub next_response_seq: &'a mut u64,
     /// Row-id allocator state for fresh (unrecorded) inserts.
     pub fresh_ids: &'a mut BTreeMap<String, u64>,
     /// Accumulated trace of the re-execution.
@@ -261,7 +223,7 @@ impl<'a, 'o> ReplayRuntime<'a, 'o> {
         store: &'a VersionedStore,
         time: LogicalTime,
         original: Option<&'o ActionRecord>,
-        next_response_seq: ResponseSeqs<'a>,
+        next_response_seq: &'a mut u64,
         fresh_ids: &'a mut BTreeMap<String, u64>,
     ) -> ReplayRuntime<'a, 'o> {
         let n_calls = original.map(|o| o.calls.len()).unwrap_or(0);
@@ -532,7 +494,10 @@ impl Runtime for ReplayRuntime<'_, '_> {
             }
         }
         // Third: a call the original never made → `create`.
-        let response_id = ResponseId::new(self.service.clone(), self.next_response_seq.alloc());
+        let response_id = ResponseId::new(
+            self.service.clone(),
+            alloc_response_seq(self.next_response_seq),
+        );
         aire::tag_outgoing_request(&mut req, &response_id, &self.notifier_url());
         let response = HttpResponse::repair_timeout();
         let new_call = CallRecord::new(response_id, req, response.clone());
@@ -655,7 +620,7 @@ mod tests {
             store: &mut s,
             net: &net,
             time: t(1),
-            next_response_seq: ResponseSeqs::dense(&mut seq),
+            next_response_seq: &mut seq,
             clock_millis: &mut clock,
             rng: &mut rng,
             trace: Trace::default(),
@@ -697,7 +662,7 @@ mod tests {
             store: s,
             net: &net,
             time: t(1),
-            next_response_seq: ResponseSeqs::dense(&mut seq),
+            next_response_seq: &mut seq,
             clock_millis: &mut clock,
             rng: &mut rng,
             trace: Trace::default(),
@@ -724,14 +689,7 @@ mod tests {
         let name = ServiceName::new("svc");
         let mut seq = 10;
         let mut fresh = BTreeMap::new();
-        let mut rt = ReplayRuntime::new(
-            &name,
-            &s,
-            t(1),
-            Some(&original),
-            ResponseSeqs::dense(&mut seq),
-            &mut fresh,
-        );
+        let mut rt = ReplayRuntime::new(&name, &s, t(1), Some(&original), &mut seq, &mut fresh);
         // Replay sees the store *without* the original insert (we pretend
         // the row was rolled back) — but buffered identity still applies.
         let id = rt.db_insert("posts", jv!({"title": "orig"})).unwrap();
@@ -756,14 +714,7 @@ mod tests {
         let name = ServiceName::new("svc");
         let mut seq = 10;
         let mut fresh = BTreeMap::new();
-        let mut rt = ReplayRuntime::new(
-            &name,
-            &s,
-            t(3),
-            Some(&original),
-            ResponseSeqs::dense(&mut seq),
-            &mut fresh,
-        );
+        let mut rt = ReplayRuntime::new(&name, &s, t(3), Some(&original), &mut seq, &mut fresh);
         let err = rt.db_insert("posts", jv!({"title": "other"})).unwrap_err();
         assert!(matches!(err, StoreError::UniqueViolation { .. }));
     }
@@ -792,14 +743,7 @@ mod tests {
 
         let mut seq = 10;
         let mut fresh = BTreeMap::new();
-        let mut rt = ReplayRuntime::new(
-            &name,
-            &s,
-            t(1),
-            Some(&original),
-            ResponseSeqs::dense(&mut seq),
-            &mut fresh,
-        );
+        let mut rt = ReplayRuntime::new(&name, &s, t(1), Some(&original), &mut seq, &mut fresh);
         // Same canonical call → recorded response, Matched plan.
         let resp = rt.http_call(HttpRequest::new(
             Method::Get,
@@ -834,14 +778,7 @@ mod tests {
 
         let mut seq = 10;
         let mut fresh = BTreeMap::new();
-        let mut rt = ReplayRuntime::new(
-            &name,
-            &s,
-            t(1),
-            Some(&original),
-            ResponseSeqs::dense(&mut seq),
-            &mut fresh,
-        );
+        let mut rt = ReplayRuntime::new(&name, &s, t(1), Some(&original), &mut seq, &mut fresh);
         // Changed content to dpaste → Changed + tentative timeout.
         let resp = rt.http_call(HttpRequest::post(
             Url::service("dpaste", "/paste"),
@@ -879,14 +816,7 @@ mod tests {
 
         let mut seq = 0;
         let mut fresh = BTreeMap::new();
-        let mut rt = ReplayRuntime::new(
-            &name,
-            &s,
-            t(1),
-            Some(&original),
-            ResponseSeqs::dense(&mut seq),
-            &mut fresh,
-        );
+        let mut rt = ReplayRuntime::new(&name, &s, t(1), Some(&original), &mut seq, &mut fresh);
         assert_eq!(rt.now_millis(), 111);
         assert_eq!(rt.now_millis(), 222);
         // Beyond the recorded trace: deterministic fallback.
@@ -897,14 +827,7 @@ mod tests {
         // A second identical replay draws the same fresh values.
         let mut seq2 = 0;
         let mut fresh2 = BTreeMap::new();
-        let mut rt2 = ReplayRuntime::new(
-            &name,
-            &s,
-            t(1),
-            Some(&original),
-            ResponseSeqs::dense(&mut seq2),
-            &mut fresh2,
-        );
+        let mut rt2 = ReplayRuntime::new(&name, &s, t(1), Some(&original), &mut seq2, &mut fresh2);
         let _ = rt2.rand();
         assert_eq!(rt2.rand(), fresh_a);
     }
@@ -920,14 +843,7 @@ mod tests {
         let name = ServiceName::new("svc");
         let mut seq = 0;
         let mut fresh = BTreeMap::new();
-        let mut rt = ReplayRuntime::new(
-            &name,
-            &s,
-            t(2),
-            None,
-            ResponseSeqs::dense(&mut seq),
-            &mut fresh,
-        );
+        let mut rt = ReplayRuntime::new(&name, &s, t(2), None, &mut seq, &mut fresh);
         rt.db_delete("posts", victim).unwrap();
         let _new_id = rt.db_insert("posts", jv!({"title": "added"})).unwrap();
         let rows = rt.db_scan("posts", &Filter::all()).unwrap();

@@ -3,7 +3,7 @@
 //! when a `replace_response` is sent.
 
 use aire_core::repair::{EngineState, RepairEngine};
-use aire_core::runtime::{build_record, RecordingRuntime, ResponseSeqs, Trace};
+use aire_core::runtime::{build_record, RecordingRuntime, Trace};
 use aire_core::{ControllerStats, RepairOp};
 use aire_http::{aire, HttpRequest, HttpResponse, Method, Url};
 use aire_log::RepairLog;
@@ -125,7 +125,7 @@ impl Service {
             store: &mut self.store,
             net: &net,
             time,
-            next_response_seq: ResponseSeqs::dense(&mut self.response_seq),
+            next_response_seq: &mut self.response_seq,
             clock_millis: &mut millis,
             rng: &mut rng,
             trace: Trace::default(),
@@ -153,7 +153,7 @@ impl Service {
             store: &mut self.store,
             log: &mut self.log,
             outgoing: &mut self.outgoing,
-            next_response_seq: ResponseSeqs::dense(&mut self.response_seq),
+            next_response_seq: &mut self.response_seq,
             stats: &mut self.stats,
             admin_notices: &mut self.notices,
             notifications: &mut self.notifications,

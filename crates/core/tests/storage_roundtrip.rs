@@ -5,27 +5,21 @@
 //! compaction invariant an operator relies on when a budgeted node
 //! collapses history while its checkpoints keep flowing.
 //!
-//! The property runs the same seeded workload through a
-//! [`ShardedRuntime`] at 1 worker and at 4, exercising the sharded
-//! fan-out of the storage admin ops (`gc`, `compact`, `snapshot`,
-//! `snapshot_delta`) and the shard-by-shard delta apply.
+//! The property drives one controller through the storage admin ops
+//! (`gc`, `compact`, `snapshot`, `snapshot_delta`) on a seeded
+//! workload.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use aire_core::admin::{AdminOp, AdminResponse};
-use aire_core::{ControllerConfig, ShardSpec, ShardSubmitter, ShardedRuntime};
+use aire_core::{Controller, ControllerConfig};
 use aire_http::{HttpRequest, HttpResponse, Url};
-use aire_net::Endpoint;
+use aire_net::Network;
 use aire_types::{jv, Jv, LogicalTime};
-use aire_vdb::shard::shard_of_key;
 use aire_vdb::{FieldDef, FieldKind, Filter, Schema, VersionedStore};
 use aire_web::{App, Ctx, Router, WebError};
 use proptest::prelude::*;
-
-/// Key-routing buckets; also the worker count of the sharded run.
-const STRIPES: usize = 4;
 
 //////// A minimal keyed application (no aire-apps: that crate sits ////
 //////// above aire-core). ////////
@@ -74,36 +68,16 @@ impl App for Slots {
 
 //////// Harness. ////////
 
-fn launch(workers: usize) -> ShardedRuntime {
-    ShardedRuntime::launch(ShardSpec {
-        workers,
-        config: ControllerConfig::default(),
-        apps: Arc::new(|| vec![("slots".to_string(), Rc::new(Slots) as Rc<dyn App>)]),
-        setup: Arc::new(|_| Box::new(())),
-    })
+/// The slots service on its own in-process network.
+fn launch() -> (Network, Rc<Controller>) {
+    let net = Network::new();
+    let controller = Controller::new(Rc::new(Slots), net.clone(), ControllerConfig::default());
+    net.register("slots", controller.clone());
+    (net, controller)
 }
 
-fn admin(rt: &ShardedRuntime, op: AdminOp) -> AdminResponse {
-    let carrier = op.to_carrier("slots");
-    let resp = Endpoint::handle(rt.front().as_ref(), &carrier);
-    assert!(resp.status.is_success(), "admin: {:?}", resp.body);
-    AdminResponse::from_jv(&resp.body).expect("admin response decodes")
-}
-
-/// Store sections of an admin snapshot (full or delta), one per shard
-/// whether or not the response used the sharded wrapper.
-fn shard_stores(snapshot: &Jv) -> Vec<Jv> {
-    if snapshot.get("sharded").as_int().is_some() {
-        snapshot
-            .get("shards")
-            .as_list()
-            .expect("sharded wrapper lists shards")
-            .iter()
-            .map(|s| s.get("store").clone())
-            .collect()
-    } else {
-        vec![snapshot.get("store").clone()]
-    }
+fn admin(controller: &Controller, op: AdminOp) -> AdminResponse {
+    controller.dispatch_admin(op).expect("admin op succeeds")
 }
 
 fn restore_store(store: &Jv) -> VersionedStore {
@@ -128,45 +102,24 @@ fn version_times(store: &Jv, out: &mut BTreeSet<LogicalTime>) {
     }
 }
 
-fn put(submitter: &ShardSubmitter, shard: usize, key: &str, value: String) {
-    let resp = submitter
-        .call(
-            shard,
-            HttpRequest::post(
-                Url::service("slots", "/put"),
-                jv!({"key": key, "value": value}),
-            ),
-        )
+fn put(net: &Network, key: &str, value: String) {
+    let resp = net
+        .deliver(&HttpRequest::post(
+            Url::service("slots", "/put"),
+            jv!({"key": key, "value": value}),
+        ))
         .expect("put delivers");
     assert!(resp.status.is_success(), "put: {:?}", resp.body);
 }
 
-fn del(submitter: &ShardSubmitter, shard: usize, key: &str) {
-    let resp = submitter
-        .call(
-            shard,
-            HttpRequest::post(Url::service("slots", "/del"), jv!({"key": key})),
-        )
+fn del(net: &Network, key: &str) {
+    let resp = net
+        .deliver(&HttpRequest::post(
+            Url::service("slots", "/del"),
+            jv!({"key": key}),
+        ))
         .expect("del delivers");
     assert!(resp.status.is_success(), "del: {:?}", resp.body);
-}
-
-/// `STRIPES` buckets of `per_stripe` keys, bucket `s` holding only keys
-/// routing to shard `s` — so the checkpoint watermark is identical on
-/// every shard after the (balanced) seeding phase, which is what lets a
-/// single cluster-wide `snapshot_delta{since}` continue it.
-fn key_buckets(per_stripe: usize) -> Vec<Vec<String>> {
-    let mut buckets: Vec<Vec<String>> = (0..STRIPES).map(|_| Vec::new()).collect();
-    let mut i = 0usize;
-    while buckets.iter().any(|b| b.len() < per_stripe) {
-        let key = format!("slot-{i:04}");
-        let s = shard_of_key(&key, STRIPES);
-        if buckets[s].len() < per_stripe {
-            buckets[s].push(key);
-        }
-        i += 1;
-    }
-    buckets
 }
 
 /// One seeded edit in the post-checkpoint phase.
@@ -189,147 +142,113 @@ fn arb_edits() -> BoxedStrategy<Vec<Edit>> {
     .boxed()
 }
 
-/// Runs the full pipeline at one worker count; all assertions inside.
-fn check_round_trip(workers: usize, per_stripe: usize, versions: usize, edits: &[Edit]) {
-    let rt = launch(workers);
-    let submitter = rt.submitter();
-    let buckets = key_buckets(per_stripe);
+/// Runs the full pipeline over `keys` keys; all assertions inside.
+fn check_round_trip(keys: usize, versions: usize, edits: &[Edit]) {
+    let (net, controller) = launch();
+    let keys: Vec<String> = (0..keys).map(|i| format!("slot-{i:04}")).collect();
 
-    // Phase 1 (balanced): every shard gets per_stripe × versions writes.
-    for (s, bucket) in buckets.iter().enumerate() {
-        for key in bucket {
-            for v in 0..versions {
-                put(&submitter, s, key, format!("{key}-v{v}"));
-            }
+    // Phase 1: every key gets `versions` writes.
+    for key in &keys {
+        for v in 0..versions {
+            put(&net, key, format!("{key}-v{v}"));
         }
     }
 
-    // Checkpoint: full snapshot → per-shard mirrors + the watermark the
-    // later delta must continue. Balanced seeding ⇒ one shared value.
-    let AdminResponse::Snapshot { snapshot: full } = admin(&rt, AdminOp::Snapshot) else {
+    // Checkpoint: full snapshot → a mirror + the watermark the later
+    // delta must continue.
+    let AdminResponse::Snapshot { snapshot: full } = admin(&controller, AdminOp::Snapshot) else {
         panic!("snapshot response shape");
     };
-    let checkpoint_stores = shard_stores(&full);
-    let mut mirrors: Vec<VersionedStore> = checkpoint_stores.iter().map(restore_store).collect();
-    let since = mirrors[0].touch_watermark();
-    for m in &mirrors {
-        assert_eq!(
-            m.touch_watermark(),
-            since,
-            "balanced seeding must leave every shard at the same watermark"
-        );
-    }
+    let mut mirror = restore_store(full.get("store"));
+    let since = mirror.touch_watermark();
 
-    // Phase 2 (seeded, unbalanced): edits spread over buckets by index.
-    let all_keys: Vec<(usize, String)> = buckets
-        .iter()
-        .enumerate()
-        .flat_map(|(s, b)| b.iter().map(move |k| (s, k.clone())))
-        .collect();
+    // Phase 2 (seeded): edits spread over the keys by index.
     for (n, edit) in edits.iter().enumerate() {
         match edit {
             Edit::Put(i) => {
-                let (s, key) = &all_keys[i % all_keys.len()];
-                put(&submitter, *s, key, format!("{key}-edit{n}"));
+                let key = &keys[i % keys.len()];
+                put(&net, key, format!("{key}-edit{n}"));
             }
-            Edit::Del(i) => {
-                let (s, key) = &all_keys[i % all_keys.len()];
-                del(&submitter, *s, key);
-            }
+            Edit::Del(i) => del(&net, &keys[i % keys.len()]),
         }
     }
 
     // The uncompacted reference: a full snapshot taken *before* any GC.
     let AdminResponse::Snapshot {
         snapshot: reference,
-    } = admin(&rt, AdminOp::Snapshot)
+    } = admin(&controller, AdminOp::Snapshot)
     else {
         panic!("snapshot response shape");
     };
-    let reference_stores: Vec<VersionedStore> =
-        shard_stores(&reference).iter().map(restore_store).collect();
+    let reference_store = restore_store(reference.get("store"));
 
     // Horizon: the median of all version times — deep enough that the
     // phase-1 chains compact, low enough that probes span both sides'
     // survivors. Probes: every distinct time at/above it, plus "now".
     let mut times = BTreeSet::new();
-    for store in shard_stores(&reference) {
-        version_times(&store, &mut times);
-    }
+    version_times(reference.get("store"), &mut times);
     let times: Vec<LogicalTime> = times.into_iter().collect();
     assert!(!times.is_empty(), "the workload wrote something");
     let horizon = times[times.len() / 2];
     let mut probes: Vec<LogicalTime> = times.iter().copied().filter(|&t| t >= horizon).collect();
     probes.push(LogicalTime::new(u64::MAX, u64::MAX));
 
-    // gc → compact on the live cluster.
-    let AdminResponse::Collected { .. } = admin(&rt, AdminOp::Gc { horizon }) else {
+    // gc → compact on the live controller.
+    let AdminResponse::Collected { .. } = admin(&controller, AdminOp::Gc { horizon }) else {
         panic!("gc response shape");
     };
-    let AdminResponse::Collected { .. } = admin(&rt, AdminOp::Compact) else {
+    let AdminResponse::Collected { .. } = admin(&controller, AdminOp::Compact) else {
         panic!("compact response shape");
     };
 
-    // snapshot_since → restore_delta, shard by shard into the mirrors.
-    let AdminResponse::Snapshot { snapshot: delta } = admin(&rt, AdminOp::SnapshotDelta { since })
+    // snapshot_since → restore_delta into the mirror.
+    let AdminResponse::Snapshot { snapshot: delta } =
+        admin(&controller, AdminOp::SnapshotDelta { since })
     else {
         panic!("snapshot_delta response shape");
     };
-    let delta_stores = shard_stores(&delta);
-    assert_eq!(delta_stores.len(), mirrors.len());
-    for (m, d) in mirrors.iter_mut().zip(&delta_stores) {
-        m.restore_delta(d).expect("delta continues the checkpoint");
-    }
+    mirror
+        .restore_delta(delta.get("store"))
+        .expect("delta continues the checkpoint");
 
     // The invariant: at every probe at/above the horizon the mirror
     // (checkpoint + delta, compacted) digests identically to the
     // uncompacted reference.
-    for (s, (m, r)) in mirrors.iter().zip(&reference_stores).enumerate() {
-        for &at in &probes {
-            assert_eq!(
-                m.state_digest(at),
-                r.state_digest(at),
-                "shard {s} of {workers}: digest diverged at {at:?} (horizon {horizon:?})"
-            );
-        }
+    for &at in &probes {
+        assert_eq!(
+            mirror.state_digest(at),
+            reference_store.state_digest(at),
+            "digest diverged at {at:?} (horizon {horizon:?})"
+        );
     }
 
     // And the mirror *is* the live store: a post-compaction snapshot
     // restores to the same digests everywhere, not just above the
     // horizon.
-    let AdminResponse::Snapshot { snapshot: after } = admin(&rt, AdminOp::Snapshot) else {
+    let AdminResponse::Snapshot { snapshot: after } = admin(&controller, AdminOp::Snapshot) else {
         panic!("snapshot response shape");
     };
-    for (s, (m, live)) in mirrors
-        .iter()
-        .zip(shard_stores(&after).iter().map(restore_store))
-        .enumerate()
-    {
-        for &at in &probes {
-            assert_eq!(
-                m.state_digest(at),
-                live.state_digest(at),
-                "shard {s} of {workers}: mirror drifted from the live store at {at:?}"
-            );
-        }
+    let live = restore_store(after.get("store"));
+    for &at in &probes {
+        assert_eq!(
+            mirror.state_digest(at),
+            live.state_digest(at),
+            "mirror drifted from the live store at {at:?}"
+        );
     }
-
-    rt.shutdown();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The pipeline round-trips at 1 worker and at 4, on the same
-    /// seeded workload.
+    /// The pipeline round-trips on every seeded workload.
     #[test]
     fn prop_gc_compact_delta_round_trips_digest_identically(
-        per_stripe in 1usize..4,
+        keys in 4usize..16,
         versions in 2usize..5,
         edits in arb_edits(),
     ) {
-        check_round_trip(1, per_stripe, versions, &edits);
-        check_round_trip(STRIPES, per_stripe, versions, &edits);
+        check_round_trip(keys, versions, &edits);
     }
 }
 
@@ -347,6 +266,5 @@ fn deep_chains_round_trip_after_compaction() {
             }
         })
         .collect();
-    check_round_trip(1, 2, 6, &edits);
-    check_round_trip(STRIPES, 2, 6, &edits);
+    check_round_trip(8, 6, &edits);
 }

@@ -8,10 +8,10 @@
 //! serialization story across the whole system).
 //!
 //! ```text
-//! +--------+------+------+------------+-------+----------+-------------+-------------+---------+
-//! | "AIRE" | 0x05 | kind | request id | shard | trace id | parent span | payload len | payload |
-//! | 4 B    | 1 B  | 1 B  | 8 B BE     | 2 B BE| 8 B BE   | 8 B BE      | 4 B BE      | len B   |
-//! +--------+------+------+------------+-------+----------+-------------+-------------+---------+
+//! +--------+------+------+------------+----------+-------------+-------------+---------+
+//! | "AIRE" | 0x06 | kind | request id | trace id | parent span | payload len | payload |
+//! | 4 B    | 1 B  | 1 B  | 8 B BE     | 8 B BE   | 8 B BE      | 4 B BE      | len B   |
+//! +--------+------+------+------------+----------+-------------+-------------+---------+
 //! ```
 //!
 //! There is one header, and every frame carries every field:
@@ -21,11 +21,6 @@
 //!   several requests in flight on one connection and match replies out
 //!   of order (pipelining), and lets a single call refuse a reply that
 //!   answers some other request;
-//! * the **shard hint** names the shard worker of a `--workers N`
-//!   daemon the request belongs to, so the server can hand the raw bytes
-//!   straight to that worker without decoding the payload centrally;
-//!   [`NO_SHARD_HINT`] means "no hint" — the server decodes and routes
-//!   the payload itself;
 //! * the **trace field** (trace id + parent span) mirrors the
 //!   `Aire-Trace` header so the observability plane survives even
 //!   senders that strip unknown headers; [`NO_TRACE`] (trace id 0) means
@@ -33,7 +28,7 @@
 //!
 //! Frames that have nothing to say in a field (greetings, replies,
 //! shutdown) carry its sentinel. A version byte other than [`VERSION`]
-//! — including the four retired layouts 1–4 — is refused with
+//! — including the five retired layouts 1–5 — is refused with
 //! [`FrameError::BadVersion`].
 //!
 //! Malformed input is rejected with a [`FrameError`] that names the
@@ -57,20 +52,16 @@ use crate::{Headers, HttpRequest, HttpResponse};
 pub const MAGIC: [u8; 4] = *b"AIRE";
 
 /// The wire-format version byte of every frame. Bytes 1–4 named the
-/// retired variable-length headers and are refused like any other
-/// unknown version.
-pub const VERSION: u8 = 5;
-
-/// The shard-hint value meaning "no hint": the server decodes and
-/// routes the payload itself.
-pub const NO_SHARD_HINT: u16 = 0xFFFF;
+/// retired variable-length headers and 5 the header with a shard-hint
+/// field; all are refused like any other unknown version.
+pub const VERSION: u8 = 6;
 
 /// The trace field `(trace id, parent span)` of an untraced frame.
 pub const NO_TRACE: (u64, u64) = (0, 0);
 
-/// Fixed header size: magic + version + kind + request id + shard hint
-/// + trace id + parent span + payload length.
-pub const HEADER_LEN: usize = 36;
+/// Fixed header size: magic + version + kind + request id + trace id +
+/// parent span + payload length.
+pub const HEADER_LEN: usize = 34;
 
 /// Maximum accepted payload size. Controller snapshots are the largest
 /// legitimate payloads; 64 MiB leaves room while bounding what a
@@ -140,8 +131,6 @@ pub struct Frame {
     pub kind: FrameKind,
     /// The pipelining tag: a server echoes a request's id on its reply.
     pub request_id: u64,
-    /// The shard hint, or [`NO_SHARD_HINT`].
-    pub shard_hint: u16,
     /// The trace field `(trace_id, parent_span)`, or [`NO_TRACE`].
     pub trace: (u64, u64),
     /// The structured payload.
@@ -212,13 +201,11 @@ impl std::error::Error for FrameError {}
 /// by the peer (and a payload beyond `u32` could never even declare its
 /// length honestly).
 ///
-/// `request_id` is the tag the peer echoes on its reply; `shard_hint`
-/// and `trace` take [`NO_SHARD_HINT`] / [`NO_TRACE`] when the sender has
-/// nothing to say.
+/// `request_id` is the tag the peer echoes on its reply; `trace` takes
+/// [`NO_TRACE`] when the sender has nothing to say.
 pub fn encode_frame(
     kind: FrameKind,
     request_id: u64,
-    shard_hint: u16,
     trace: (u64, u64),
     payload: &Jv,
 ) -> Result<Vec<u8>, FrameError> {
@@ -234,7 +221,6 @@ pub fn encode_frame(
     out.push(VERSION);
     out.push(kind.as_u8());
     out.extend_from_slice(&request_id.to_be_bytes());
-    out.extend_from_slice(&shard_hint.to_be_bytes());
     out.extend_from_slice(&trace.0.to_be_bytes());
     out.extend_from_slice(&trace.1.to_be_bytes());
     out.extend_from_slice(&(body.len() as u32).to_be_bytes());
@@ -250,8 +236,6 @@ pub struct FrameHeader {
     pub kind: FrameKind,
     /// The pipelining tag.
     pub request_id: u64,
-    /// The shard hint, or [`NO_SHARD_HINT`].
-    pub shard_hint: u16,
     /// The trace field, or [`NO_TRACE`].
     pub trace: (u64, u64),
     /// Declared payload byte count.
@@ -297,7 +281,7 @@ pub fn decode_header(buf: &[u8]) -> Result<FrameHeader, FrameError> {
         b.copy_from_slice(&buf[at..at + 8]);
         u64::from_be_bytes(b)
     };
-    let len = u32::from_be_bytes([buf[32], buf[33], buf[34], buf[35]]) as usize;
+    let len = u32::from_be_bytes([buf[30], buf[31], buf[32], buf[33]]) as usize;
     if len > MAX_PAYLOAD_LEN {
         return Err(FrameError::Oversized {
             len,
@@ -307,8 +291,7 @@ pub fn decode_header(buf: &[u8]) -> Result<FrameHeader, FrameError> {
     Ok(FrameHeader {
         kind,
         request_id: be64(6),
-        shard_hint: u16::from_be_bytes([buf[14], buf[15]]),
-        trace: (be64(16), be64(24)),
+        trace: (be64(14), be64(22)),
         payload_len: len,
     })
 }
@@ -331,7 +314,6 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
         Frame {
             kind: header.kind,
             request_id: header.request_id,
-            shard_hint: header.shard_hint,
             trace: header.trace,
             payload,
         },
@@ -340,9 +322,9 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
 }
 
 /// Frames a request the way a lone caller would: request id 0, no
-/// shard hint, no trace. (The TCP dialer tags its own frames.)
+/// trace. (The TCP dialer tags its own frames.)
 pub fn encode_request(req: &HttpRequest) -> Result<Vec<u8>, FrameError> {
-    encode_frame(FrameKind::Request, 0, NO_SHARD_HINT, NO_TRACE, &req.to_jv())
+    encode_frame(FrameKind::Request, 0, NO_TRACE, &req.to_jv())
 }
 
 /// Unpacks a [`FrameKind::Request`] frame.
@@ -358,13 +340,7 @@ pub fn decode_request(frame: &Frame) -> Result<HttpRequest, FrameError> {
 
 /// Frames a response with request id 0 (see [`encode_request`]).
 pub fn encode_response(resp: &HttpResponse) -> Result<Vec<u8>, FrameError> {
-    encode_frame(
-        FrameKind::Response,
-        0,
-        NO_SHARD_HINT,
-        NO_TRACE,
-        &resp.to_jv(),
-    )
+    encode_frame(FrameKind::Response, 0, NO_TRACE, &resp.to_jv())
 }
 
 /// Unpacks a [`FrameKind::Response`] frame.
@@ -502,7 +478,7 @@ mod tests {
 
     #[test]
     fn truncation_names_the_byte_counts() {
-        let bytes = encode_frame(FrameKind::Response, 7, 1, (11, 12), &Jv::Null).unwrap();
+        let bytes = encode_frame(FrameKind::Response, 7, (11, 12), &Jv::Null).unwrap();
         for cut in 0..bytes.len() {
             let err = decode_frame(&bytes[..cut]).unwrap_err();
             let needed = if cut < HEADER_LEN {
@@ -558,8 +534,7 @@ mod tests {
 
     #[test]
     fn garbage_payload_is_rejected_with_the_decode_error() {
-        let mut bytes =
-            encode_frame(FrameKind::Request, 0, NO_SHARD_HINT, NO_TRACE, &Jv::s("x")).unwrap();
+        let mut bytes = encode_frame(FrameKind::Request, 0, NO_TRACE, &Jv::s("x")).unwrap();
         let n = bytes.len();
         bytes[n - 1] = 0xFF; // invalid UTF-8 inside the payload
         let err = decode_frame(&bytes).unwrap_err();
@@ -569,7 +544,6 @@ mod tests {
         let frame = Frame {
             kind: FrameKind::Request,
             request_id: 0,
-            shard_hint: NO_SHARD_HINT,
             trace: NO_TRACE,
             payload: Jv::Null,
         };
@@ -624,34 +598,25 @@ mod tests {
     fn every_sentinel_combination_round_trips() {
         let req = sample_request();
         for request_id in [0, 0xDEAD_BEEF_0042] {
-            for shard_hint in [NO_SHARD_HINT, 2] {
-                for trace in [NO_TRACE, (0x1234_5678_9ABC_DEF0, 0x0FED_CBA9_8765_4321)] {
-                    let bytes = encode_frame(
-                        FrameKind::Request,
-                        request_id,
-                        shard_hint,
-                        trace,
-                        &req.to_jv(),
-                    )
-                    .unwrap();
-                    assert_eq!(bytes[4], VERSION);
-                    assert_eq!(bytes.len(), framed_request_len(&req));
-                    let header = decode_header(&bytes).unwrap();
-                    assert_eq!(header.frame_len(), bytes.len());
-                    let (frame, used) = decode_frame(&bytes).unwrap();
-                    assert_eq!(used, bytes.len());
-                    assert_eq!(frame.request_id, request_id);
-                    assert_eq!(frame.shard_hint, shard_hint);
-                    assert_eq!(frame.trace, trace);
-                    assert_eq!(decode_request(&frame).unwrap(), req);
-                }
+            for trace in [NO_TRACE, (0x1234_5678_9ABC_DEF0, 0x0FED_CBA9_8765_4321)] {
+                let bytes =
+                    encode_frame(FrameKind::Request, request_id, trace, &req.to_jv()).unwrap();
+                assert_eq!(bytes[4], VERSION);
+                assert_eq!(bytes.len(), framed_request_len(&req));
+                let header = decode_header(&bytes).unwrap();
+                assert_eq!(header.frame_len(), bytes.len());
+                let (frame, used) = decode_frame(&bytes).unwrap();
+                assert_eq!(used, bytes.len());
+                assert_eq!(frame.request_id, request_id);
+                assert_eq!(frame.trace, trace);
+                assert_eq!(decode_request(&frame).unwrap(), req);
             }
         }
     }
 
     #[test]
     fn retired_version_bytes_are_refused_by_name() {
-        for retired in 1..=4u8 {
+        for retired in 1..=5u8 {
             let mut bytes = encode_request(&sample_request()).unwrap();
             bytes[4] = retired;
             let err = decode_frame(&bytes).unwrap_err();

@@ -51,7 +51,6 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::os::fd::BorrowedFd;
 use std::rc::{Rc, Weak};
 use std::time::Duration;
 
@@ -107,54 +106,10 @@ pub trait Transport {
     }
 }
 
-/// Asynchronous submission into a sharded (`--workers N`) daemon
-/// runtime: the seam between the socket server (`aire-transport`) and
-/// the shard workers (`aire-core`), defined here so neither crate needs
-/// to depend on the other.
-///
-/// The contract is ticket-based and non-blocking: the server [`submit`]s
-/// a request with a caller-chosen ticket and later collects
-/// `(ticket, result)` pairs from [`poll`] — the serving thread never
-/// blocks on a worker, because a worker may itself be mid-call to a
-/// service co-hosted behind the same listener.
-///
-/// [`submit`]: NodeDispatch::submit
-/// [`poll`]: NodeDispatch::poll
-pub trait NodeDispatch {
-    /// Number of shard workers.
-    fn workers(&self) -> usize;
-
-    /// Hostnames of the services that are actually sharded (spread
-    /// across workers). Advertised in the connection greeting so dialers
-    /// only attach shard hints for traffic that benefits.
-    fn sharded_hosts(&self) -> Vec<String>;
-
-    /// Routes one request to its owning shard. `admin` selects the
-    /// control plane (admin ops fan out to every worker and the merged
-    /// response completes the ticket).
-    fn submit(&self, admin: bool, req: HttpRequest, ticket: u64);
-
-    /// Fast path for a frame that arrived with a shard hint: hand the
-    /// still-encoded request payload straight to worker `shard`, which
-    /// decodes it on its own core. Returns `false` — without consuming
-    /// the ticket — if `shard` is out of range, in which case the caller
-    /// must decode and [`submit`](NodeDispatch::submit) centrally.
-    fn submit_raw(&self, shard: usize, payload: Vec<u8>, ticket: u64) -> bool;
-
-    /// Collects every completed submission: `(ticket, result)` pairs,
-    /// at most one per submitted ticket, in completion order.
-    fn poll(&self) -> Vec<(u64, AireResult<HttpResponse>)>;
-
-    /// A descriptor that turns readable when a submission completes —
-    /// the server blocks on it beside its sockets instead of calling
-    /// [`poll`](NodeDispatch::poll) on a timer. `poll` rearms it.
-    fn wake_fd(&self) -> BorrowedFd<'_>;
-}
-
 /// Serving pending traffic between the quanta of a long local-repair
 /// pass: the seam between a repair controller (`aire-core`) and the
 /// serve loop hosting it (`aire-transport`'s `NodeServer`), defined here
-/// beside [`NodeDispatch`] so neither crate depends on the other.
+/// so neither crate depends on the other.
 ///
 /// A controller asks its [`Network`] for the quantum
 /// ([`Network::repair_quantum`]); with no yielder installed — every

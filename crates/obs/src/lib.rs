@@ -9,15 +9,15 @@
 //! * [`TraceContext`] — a `(trace_id, parent_span)` pair minted at the
 //!   originating request and propagated on the wire (the `Aire-Trace`
 //!   header, mirrored into the frame header), so one flush yields a
-//!   single tree spanning driver → controller → peer services → shard
-//!   workers.
+//!   single tree spanning driver → controller → peer services.
 //! * [`SpanRing`] — a bounded, drop-oldest in-memory buffer of recorded
 //!   [`Span`]s with an exported drop counter, so tracing never unbounds
 //!   memory during a 10k-entry flush.
 //! * [`MetricsRegistry`] — a fixed-field, lock-free (atomic) registry of
 //!   counters, gauges and histograms; [`MetricsSnapshot`] is its
 //!   serializable image with a commutative, associative [`merge`] so
-//!   per-shard snapshots combine in any order under the barrier front.
+//!   per-service snapshots combine into one node-wide image in any
+//!   order.
 //! * [`render_prometheus`] — Prometheus-style text exposition of a
 //!   snapshot, served by `aire-noded --metrics` and the `report` binary.
 //!
@@ -87,8 +87,6 @@ pub struct Span {
     pub parent_span: u64,
     /// The service that recorded the span.
     pub service: String,
-    /// The shard index of the recording worker, if sharded.
-    pub shard: Option<u32>,
     /// What happened: `"flush_queue"`, `"send_repair"`, `"receive"`, …
     pub name: String,
 }
@@ -101,10 +99,6 @@ impl Span {
         m.set("span", Jv::i(self.span_id as i64));
         m.set("parent", Jv::i(self.parent_span as i64));
         m.set("service", Jv::s(self.service.clone()));
-        match self.shard {
-            Some(s) => m.set("shard", Jv::i(s as i64)),
-            None => m.set("shard", Jv::Null),
-        };
         m.set("name", Jv::s(self.name.clone()));
         m
     }
@@ -119,7 +113,6 @@ impl Span {
             span_id,
             parent_span: v.int_of("parent") as u64,
             service: v.str_of("service").to_string(),
-            shard: v.get("shard").as_int().map(|s| s as u32),
             name: v.str_of("name").to_string(),
         })
     }
@@ -355,7 +348,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// The fixed set of metrics every controller and worker maintains.
+/// The fixed set of metrics every controller maintains.
 /// Fixed fields (not a keyed map) keep the hot paths allocation- and
 /// lock-free; [`snapshot`](Self::snapshot) names each metric for the
 /// wire.
@@ -583,16 +576,16 @@ impl Default for MetricsRegistry {
     }
 }
 
-/// A named, serializable image of a registry. Per-shard snapshots merge
+/// A named, serializable image of a registry. Snapshots merge
 /// commutatively and associatively (counters and gauges sum; histograms
-/// sum per bucket), so the barrier front may combine worker parts in
-/// any order.
+/// sum per bucket), so a scraper may combine per-service parts in any
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Monotone counters by exposition name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauges by exposition name (summed across shards: depths and
-    /// sizes are additive over disjoint workers).
+    /// Gauges by exposition name (summed across parts: depths and
+    /// sizes are additive over disjoint services).
     pub gauges: BTreeMap<String, i64>,
     /// Histograms by exposition name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
@@ -600,8 +593,8 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Folds `other` into `self`. Sum-merge on every family keeps the
-    /// operation commutative and associative, which the shard-merge
-    /// property tests pin down.
+    /// operation commutative and associative, which the merge property
+    /// tests pin down.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
@@ -694,14 +687,12 @@ pub fn render_prometheus(s: &MetricsSnapshot) -> String {
 /// The per-controller observability handle: a tracing switch, the span
 /// ring, the metrics registry, and the ambient trace context.
 ///
-/// One `Obs` per controller (per worker in sharded mode); the registry
-/// is an `Arc` so the transport layer can share it across the clone
-/// boundary. `Obs` itself is single-threaded (`Rc` it alongside the
+/// One `Obs` per controller; the registry is an `Arc` so the transport
+/// layer can share it across the clone boundary. `Obs` itself is single-threaded (`Rc` it alongside the
 /// controller).
 #[derive(Debug)]
 pub struct Obs {
     service: String,
-    shard: Option<u32>,
     tracing: bool,
     registry: Arc<MetricsRegistry>,
     ring: RefCell<SpanRing>,
@@ -720,21 +711,17 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 impl Obs {
-    /// Creates a handle for `service` (worker `shard`, if sharded).
-    /// With `tracing` false, span recording is a no-op; metrics are
-    /// always live (they are cheap and never reach digests).
-    pub fn new(service: &str, shard: Option<u32>, tracing: bool) -> Obs {
+    /// Creates a handle for `service`. With `tracing` false, span
+    /// recording is a no-op; metrics are always live (they are cheap and
+    /// never reach digests).
+    pub fn new(service: &str, tracing: bool) -> Obs {
         let mut seed = 0xcbf2_9ce4_8422_2325u64;
         for b in service.bytes() {
             seed ^= b as u64;
             seed = seed.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        if let Some(s) = shard {
-            seed = seed.wrapping_add(0x9e37_79b9u64.wrapping_mul(s as u64 + 1));
-        }
         Obs {
             service: service.to_string(),
-            shard,
             tracing,
             registry: Arc::new(MetricsRegistry::new()),
             ring: RefCell::new(SpanRing::new(DEFAULT_RING_CAPACITY)),
@@ -803,7 +790,6 @@ impl Obs {
             span_id,
             parent_span,
             service: self.service.clone(),
-            shard: self.shard,
             name: name.to_string(),
         });
         Some(TraceContext { trace_id, span_id })
@@ -866,15 +852,9 @@ mod tests {
             span_id: 8,
             parent_span: 0,
             service: "wiki".into(),
-            shard: Some(2),
             name: "flush_queue".into(),
         };
-        assert_eq!(Span::from_jv(&span.to_jv()), Some(span.clone()));
-        let unsharded = Span {
-            shard: None,
-            ..span
-        };
-        assert_eq!(Span::from_jv(&unsharded.to_jv()), Some(unsharded));
+        assert_eq!(Span::from_jv(&span.to_jv()), Some(span));
     }
 
     #[test]
@@ -885,7 +865,6 @@ mod tests {
             span_id: i,
             parent_span: 0,
             service: "s".into(),
-            shard: None,
             name: format!("op{i}"),
         };
         for i in 0..10 {
@@ -959,7 +938,7 @@ mod tests {
 
     #[test]
     fn obs_roots_and_parents_spans() {
-        let obs = Obs::new("wiki", None, true);
+        let obs = Obs::new("wiki", true);
         let root = obs.start("flush").unwrap();
         assert_ne!(root.trace_id, 0);
         obs.set_current(Some(root));
@@ -974,7 +953,7 @@ mod tests {
 
     #[test]
     fn obs_off_records_nothing() {
-        let obs = Obs::new("wiki", None, false);
+        let obs = Obs::new("wiki", false);
         assert_eq!(obs.start("flush"), None);
         assert!(obs.spans().is_empty());
         // Metrics still live with tracing off.
@@ -984,17 +963,17 @@ mod tests {
 
     #[test]
     fn obs_ids_are_deterministic_per_service() {
-        let a = Obs::new("wiki", Some(1), true);
-        let b = Obs::new("wiki", Some(1), true);
+        let a = Obs::new("wiki", true);
+        let b = Obs::new("wiki", true);
         assert_eq!(a.start("x"), b.start("x"));
-        // Distinct services (or shards) walk distinct id streams.
-        let c = Obs::new("forum", Some(1), true);
+        // Distinct services walk distinct id streams.
+        let c = Obs::new("forum", true);
         assert_ne!(a.start("x"), c.start("x"));
     }
 
     #[test]
     fn metrics_snapshot_mirrors_ring_drops() {
-        let obs = Obs::new("wiki", None, true);
+        let obs = Obs::new("wiki", true);
         // Overflow the ring far enough to drop spans.
         for _ in 0..(DEFAULT_RING_CAPACITY + 5) {
             obs.start("op");

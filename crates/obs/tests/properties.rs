@@ -1,5 +1,5 @@
 //! Property suites for the metrics plane: counter monotonicity and
-//! shard-merge order-independence, plus span-ring overflow behavior
+//! merge order-independence, plus span-ring overflow behavior
 //! under arbitrary capacities.
 
 use aire_obs::{Counter, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, Span, SpanRing};
@@ -42,9 +42,9 @@ proptest! {
         }
     }
 
-    /// Merging per-shard snapshots is order-independent: any permutation
-    /// of the parts folds to the same merged snapshot (what the shard
-    /// front relies on when workers answer the barrier in any order).
+    /// Merging snapshots is order-independent: any permutation of the
+    /// parts folds to the same merged snapshot (what a scraper folding
+    /// several services' snapshots relies on).
     #[test]
     fn prop_snapshot_merge_is_order_independent(
         parts in prop::collection::vec(
@@ -112,7 +112,6 @@ proptest! {
                 span_id: i as u64,
                 parent_span: 0,
                 service: "svc".into(),
-                shard: None,
                 name: "op".into(),
             });
         }

@@ -3,15 +3,15 @@
 //! blocks on the readiness of its own descriptors (see [`Pump::watch`]).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::rc::{Rc, Weak};
 use std::time::{Duration, Instant};
 
-use aire_http::frame::{self, FrameHeader, FrameKind, HEADER_LEN, NO_SHARD_HINT, NO_TRACE};
+use aire_http::frame::{self, FrameHeader, FrameKind, NO_TRACE};
 use aire_http::HttpRequest;
-use aire_net::{Certificate, Network, NodeDispatch, Yield};
+use aire_net::{Certificate, Network, Yield};
 use aire_types::{AireError, Jv};
 
 use crate::ready::{self, Watch};
@@ -71,9 +71,6 @@ pub enum ServeOutcome {
 struct Conn {
     stream: TcpStream,
     plane: Plane,
-    /// Stable identity for matching asynchronously completed dispatches
-    /// back to their connection (the deque reorders on every pump).
-    id: u64,
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
     written: usize,
@@ -91,13 +88,6 @@ struct Conn {
     last_activity: Instant,
 }
 
-/// Where an asynchronously dispatched request's reply must go: the
-/// connection, and the request id to echo on it.
-struct Ticket {
-    conn: u64,
-    tag: u64,
-}
-
 struct NodeInner {
     net: Network,
     /// Every service name this node hosts (frames are routed to these
@@ -111,14 +101,6 @@ struct NodeInner {
     conns: RefCell<VecDeque<Conn>>,
     last_accept: Cell<Instant>,
     shutdown: Cell<bool>,
-    /// Sharded mode: the shard-worker runtime request frames are handed
-    /// to instead of the local `net`. `None` — the default — keeps the
-    /// synchronous in-place dispatch byte-for-byte as it always was.
-    dispatch: Option<Rc<dyn NodeDispatch>>,
-    /// Outstanding async dispatches: ticket → where the reply goes.
-    tickets: RefCell<HashMap<u64, Ticket>>,
-    next_ticket: Cell<u64>,
-    next_conn_id: Cell<u64>,
 }
 
 /// A single-threaded TCP server hosting one or more services' endpoints
@@ -172,33 +154,6 @@ impl NodeServer {
         data_addr: impl ToSocketAddrs,
         admin_addr: impl ToSocketAddrs,
     ) -> std::io::Result<NodeServer> {
-        NodeServer::bind_inner(net, services, data_addr, admin_addr, None)
-    }
-
-    /// Binds both listeners for a **sharded** node: request frames are
-    /// not dispatched through `net` in place but submitted to
-    /// `dispatch` — the shard-worker runtime — with a ticket, and
-    /// replies are collected from [`NodeDispatch::poll`] on every pump.
-    /// The serve loop itself never blocks on a worker. The greeting
-    /// additionally advertises the worker count and the sharded service
-    /// names, which is what lets dialing peers attach shard hints.
-    pub fn bind_sharded(
-        net: Network,
-        services: Vec<(String, Certificate)>,
-        data_addr: impl ToSocketAddrs,
-        admin_addr: impl ToSocketAddrs,
-        dispatch: Rc<dyn NodeDispatch>,
-    ) -> std::io::Result<NodeServer> {
-        NodeServer::bind_inner(net, services, data_addr, admin_addr, Some(dispatch))
-    }
-
-    fn bind_inner(
-        net: Network,
-        services: Vec<(String, Certificate)>,
-        data_addr: impl ToSocketAddrs,
-        admin_addr: impl ToSocketAddrs,
-        dispatch: Option<Rc<dyn NodeDispatch>>,
-    ) -> std::io::Result<NodeServer> {
         assert!(
             !services.is_empty(),
             "a node must host at least one service"
@@ -209,17 +164,13 @@ impl NodeServer {
         admin.set_nonblocking(true)?;
         let (hosts, certs): (Vec<String>, Vec<Certificate>) = services.into_iter().unzip();
         // The greeting goes out verbatim on every accept; build it once.
-        let mut hello_payload = Certificate::hello_payload(&certs);
-        if let Some(d) = &dispatch {
-            hello_payload.set("workers", Jv::i(d.workers() as i64));
-            hello_payload.set(
-                "sharded",
-                Jv::list(d.sharded_hosts().into_iter().map(Jv::s)),
-            );
-        }
-        let hello =
-            frame::encode_frame(FrameKind::Hello, 0, NO_SHARD_HINT, NO_TRACE, &hello_payload)
-                .expect("certificate greetings fit any frame cap");
+        let hello = frame::encode_frame(
+            FrameKind::Hello,
+            0,
+            NO_TRACE,
+            &Certificate::hello_payload(&certs),
+        )
+        .expect("certificate greetings fit any frame cap");
         let inner = Rc::new(NodeInner {
             net,
             hosts,
@@ -230,19 +181,12 @@ impl NodeServer {
             conns: RefCell::new(VecDeque::new()),
             last_accept: Cell::new(Instant::now() - ACCEPT_INTERVAL),
             shutdown: Cell::new(false),
-            dispatch,
-            tickets: RefCell::new(HashMap::new()),
-            next_ticket: Cell::new(1),
-            next_conn_id: Cell::new(1),
         });
-        // Shard workers own their networks and install no yielder, so
-        // their passes stay atomic; here the hosted controllers' passes
-        // yield to this loop between quanta.
-        if inner.dispatch.is_none() {
-            inner
-                .net
-                .set_yielder(Rc::downgrade(&(inner.clone() as Rc<dyn Yield>)));
-        }
+        // The hosted controllers' repair passes yield to this loop
+        // between quanta.
+        inner
+            .net
+            .set_yielder(Rc::downgrade(&(inner.clone() as Rc<dyn Yield>)));
         Ok(NodeServer { inner })
     }
 
@@ -355,10 +299,6 @@ impl Pump for NodeServer {
 impl Pump for NodeInner {
     fn pump_once(&self) -> bool {
         let mut progressed = false;
-        // Collect finished shard-worker dispatches *before* advancing
-        // connections, so a reply completed since the last pump flushes
-        // on this one.
-        progressed |= self.drain_dispatch();
         // Stop accepting once a shutdown is in flight — the drain phase
         // should converge. While live connections keep the pump hot,
         // accept attempts are batched to ACCEPT_INTERVAL (see its docs).
@@ -387,18 +327,15 @@ impl Pump for NodeInner {
         progressed
     }
 
-    /// Both listeners (until a shutdown stops accepting), the shard
-    /// runtime's completion bell, and every live connection: readable
-    /// unless a reply is still flushing (`advance` reads nothing then),
-    /// writable while output is pending. A connection mid-dispatch is
-    /// out of the queue, so a nested wait never watches it.
+    /// Both listeners (until a shutdown stops accepting) and every live
+    /// connection: readable unless a reply is still flushing (`advance`
+    /// reads nothing then), writable while output is pending. A
+    /// connection mid-dispatch is out of the queue, so a nested wait
+    /// never watches it.
     fn watch(&self, watch: &mut Watch) {
         if !self.shutdown.get() {
             watch.read(&self.data);
             watch.read(&self.admin);
-        }
-        if let Some(d) = &self.dispatch {
-            watch.read(&d.wake_fd());
         }
         for conn in self.conns.borrow().iter() {
             if !conn.responded {
@@ -437,35 +374,6 @@ impl NodeInner {
         ready::wait(watch, deadline.into_iter().chain(next_reap).min());
     }
 
-    /// Collects every dispatch the shard workers have completed and
-    /// queues each reply on its connection, echoing the request's id.
-    /// Replies whose connection died while the worker ran are dropped,
-    /// exactly as a synchronous dispatch's reply dies with its
-    /// connection.
-    fn drain_dispatch(&self) -> bool {
-        let Some(d) = &self.dispatch else {
-            return false;
-        };
-        let done = d.poll();
-        if done.is_empty() {
-            return false;
-        }
-        let mut conns = self.conns.borrow_mut();
-        for (ticket, result) in done {
-            let Some(t) = self.tickets.borrow_mut().remove(&ticket) else {
-                continue;
-            };
-            let Some(conn) = conns.iter_mut().find(|c| c.id == t.conn) else {
-                continue;
-            };
-            match result {
-                Ok(resp) => self.reply(conn, t.tag, FrameKind::Response, &resp.to_jv()),
-                Err(e) => self.reply_error(conn, t.tag, e),
-            }
-        }
-        true
-    }
-
     fn accept(&self, plane: Plane) -> bool {
         let listener = match plane {
             Plane::Data => &self.data,
@@ -481,12 +389,9 @@ impl NodeInner {
                     let _ = stream.set_nodelay(true);
                     // Greet immediately: every hosted identity goes out
                     // as the connection's first frame.
-                    let id = self.next_conn_id.get();
-                    self.next_conn_id.set(id + 1);
                     self.conns.borrow_mut().push_back(Conn {
                         stream,
                         plane,
-                        id,
                         inbuf: Vec::new(),
                         outbuf: self.hello.clone(),
                         written: 0,
@@ -651,9 +556,8 @@ impl NodeInner {
     /// Queues a reply frame echoing `tag`, the id of the request being
     /// answered.
     fn reply(&self, conn: &mut Conn, tag: u64, kind: FrameKind, payload: &Jv) {
-        let encode = |kind: FrameKind, payload: &Jv| {
-            frame::encode_frame(kind, tag, NO_SHARD_HINT, NO_TRACE, payload)
-        };
+        let encode =
+            |kind: FrameKind, payload: &Jv| frame::encode_frame(kind, tag, NO_TRACE, payload);
         let framed = encode(kind, payload).unwrap_or_else(|e| {
             // An over-cap response (e.g. a gigantic snapshot) degrades
             // to a small error frame naming the limit, which cannot
@@ -671,38 +575,6 @@ impl NodeInner {
 
     fn reply_error(&self, conn: &mut Conn, tag: u64, err: AireError) {
         self.reply(conn, tag, FrameKind::Error, &err.to_jv());
-    }
-
-    /// Sharded mode: hands one complete `Request` frame to the shard
-    /// runtime instead of dispatching it in place.
-    ///
-    /// A frame carrying a valid shard hint skips the central decode
-    /// entirely: the still-encoded payload goes straight to the hinted
-    /// worker, which parses it on its own core — the point of the hint.
-    /// Unhinted (or mis-hinted) frames are decoded here and routed by
-    /// [`NodeDispatch::submit`].
-    fn dispatch_async(&self, d: &dyn NodeDispatch, conn: &mut Conn, h: FrameHeader) {
-        let ticket = self.next_ticket.get();
-        self.next_ticket.set(ticket + 1);
-        let target = Ticket {
-            conn: conn.id,
-            tag: h.request_id,
-        };
-        if conn.plane == Plane::Data && h.shard_hint != NO_SHARD_HINT {
-            let payload = conn.inbuf[HEADER_LEN..h.frame_len()].to_vec();
-            if d.submit_raw(h.shard_hint as usize, payload, ticket) {
-                conn.inbuf.drain(..h.frame_len());
-                self.tickets.borrow_mut().insert(ticket, target);
-                return;
-            }
-            // Out-of-range hint: fall through to the central route,
-            // which computes the true shard itself.
-        }
-        let Some(req) = self.take_request(conn, h) else {
-            return;
-        };
-        self.tickets.borrow_mut().insert(ticket, target);
-        d.submit(conn.plane == Plane::Admin, req, ticket);
     }
 
     /// Consumes the complete frame at the front of `conn.inbuf` (whose
@@ -756,9 +628,6 @@ impl NodeInner {
         let tag = h.request_id;
         match h.kind {
             FrameKind::Request => {
-                if let Some(d) = self.dispatch.clone() {
-                    return self.dispatch_async(&*d, conn, h);
-                }
                 let Some(req) = self.take_request(conn, h) else {
                     return;
                 };

@@ -9,9 +9,9 @@ use std::rc::{Rc, Weak};
 use std::time::{Duration, Instant};
 
 use aire_http::frame::{self, Frame, FrameHeader, FrameKind, HEADER_LEN};
-use aire_http::{aire, HttpRequest, HttpResponse};
+use aire_http::{HttpRequest, HttpResponse};
 use aire_net::{Certificate, Transport};
-use aire_types::{AireError, AireResult, Jv, RequestId, ServiceName};
+use aire_types::{AireError, AireResult, Jv, ServiceName};
 
 use crate::ready::{self, Watch};
 use crate::Pump;
@@ -174,17 +174,9 @@ pub struct TcpTransport {
     /// restarted daemon presenting a new (or wrong) certificate is
     /// reflected here the moment the pool reconnects.
     cert_cache: RefCell<Option<Certificate>>,
-    /// Shard-worker count the peer advertised in its last greeting
-    /// (1 when the peer is unsharded). Drives the shard hints on repair
-    /// frames.
-    peer_workers: Cell<usize>,
     /// The request id the next single [`TcpTransport::exchange`] tags
     /// its frame with; a reply echoing anything else is refused.
     next_request_id: Cell<u64>,
-    /// Service names the peer's greeting declared sharded — only their
-    /// repair traffic is worth hinting (everything else pins to shard 0
-    /// server-side regardless).
-    peer_sharded: RefCell<Vec<String>>,
     /// When set, pool activity (dials, reuses, retries) is mirrored into
     /// this metrics registry so `metrics_snapshot` exposes it alongside
     /// the controller's counters.
@@ -223,16 +215,14 @@ impl TcpTransport {
             next_dial_after: Cell::new(None),
             pump: RefCell::new(None),
             cert_cache: RefCell::new(None),
-            peer_workers: Cell::new(1),
             next_request_id: Cell::new(0),
-            peer_sharded: RefCell::new(Vec::new()),
             registry: RefCell::new(None),
         }
     }
 
     /// Mirrors this dialer's pool counters into `registry` from now on.
-    /// A daemon passes each worker's registry so one `metrics_snapshot`
-    /// covers both the controller and its transports.
+    /// A daemon passes its primary service's registry, so one
+    /// `metrics_snapshot` covers both the controller and its transports.
     pub fn set_metrics_registry(&self, registry: std::sync::Arc<aire_obs::MetricsRegistry>) {
         *self.registry.borrow_mut() = Some(registry);
     }
@@ -278,39 +268,6 @@ impl TcpTransport {
     /// The service this dialer targets.
     pub fn host(&self) -> &str {
         &self.host
-    }
-
-    /// Shard-worker count the peer advertised in its last greeting — 1
-    /// until a connection has been dialled, or when the peer is
-    /// unsharded.
-    pub fn peer_workers(&self) -> usize {
-        self.peer_workers.get()
-    }
-
-    /// The shard hint for a request, or `None` when the server should
-    /// route it centrally. Only `replace`/`delete` repair carriers to a
-    /// service the peer declared sharded are hinted: their target shard
-    /// is fully determined by the repaired request's striped seq
-    /// (`(seq - 1) % workers`), which the dialer can compute without
-    /// knowing anything about the application. Every other request needs
-    /// the application's shard key, so the server routes it centrally.
-    fn shard_hint_for(&self, req: &HttpRequest) -> Option<u16> {
-        let workers = self.peer_workers.get();
-        if workers <= 1 || !self.peer_sharded.borrow().iter().any(|s| s == &self.host) {
-            return None;
-        }
-        match req.headers.get(aire::REPAIR) {
-            Some("replace") | Some("delete") => {}
-            _ => return None,
-        }
-        let rid = req
-            .headers
-            .get(aire::REQUEST_ID)
-            .and_then(RequestId::parse)?;
-        if rid.service.as_str() != self.host || rid.seq == 0 {
-            return None;
-        }
-        Some(((rid.seq - 1) % workers as u64) as u16)
     }
 
     /// A snapshot of the pool's counters. Both planes are reaped first:
@@ -581,7 +538,6 @@ impl TcpTransport {
                     return Ok(Frame {
                         kind: h.kind,
                         request_id: h.request_id,
-                        shard_hint: h.shard_hint,
                         trace: h.trace,
                         payload,
                     });
@@ -628,26 +584,6 @@ impl TcpTransport {
             )));
         }
         self.validations.set(self.validations.get() + 1);
-        // A sharded daemon advertises its worker count and which hosted
-        // services are actually split across workers; an unsharded one
-        // advertises neither.
-        let workers = hello
-            .payload
-            .get("workers")
-            .as_int()
-            .map_or(1, |w| w.max(1) as usize);
-        let sharded: Vec<String> = hello
-            .payload
-            .get("sharded")
-            .as_list()
-            .map(|l| {
-                l.iter()
-                    .filter_map(|s| s.as_str().map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default();
-        self.peer_workers.set(workers);
-        *self.peer_sharded.borrow_mut() = sharded;
         let certs = Certificate::all_from_hello(&hello.payload)
             .map_err(|e| AireError::Protocol(format!("bad certificate from {}: {e}", self.host)))?;
         match certs.iter().find(|c| c.valid_for(&self.host)) {
@@ -679,24 +615,17 @@ impl TcpTransport {
     }
 
     /// Frames `req` the one way this dialer puts requests on the wire:
-    /// tagged `request_id`, with the shard hint the peer's greeting
-    /// makes computable and the trace context its `Aire-Trace` header
-    /// carries, so hint-routing servers can attribute a frame to its
-    /// trace without decoding the payload.
+    /// tagged `request_id`, with the trace context its `Aire-Trace`
+    /// header carries, so a server can attribute a frame to its trace
+    /// without decoding the payload.
     fn frame_request(&self, request_id: u64, req: &HttpRequest) -> AireResult<Vec<u8>> {
         let trace = req
             .headers
             .get(aire_obs::TRACE_HEADER)
             .and_then(aire_obs::TraceContext::parse)
             .map_or(frame::NO_TRACE, |c| (c.trace_id, c.span_id));
-        frame::encode_frame(
-            FrameKind::Request,
-            request_id,
-            self.shard_hint_for(req).unwrap_or(frame::NO_SHARD_HINT),
-            trace,
-            &req.to_jv(),
-        )
-        .map_err(|e| AireError::Protocol(format!("cannot frame request: {e}")))
+        frame::encode_frame(FrameKind::Request, request_id, trace, &req.to_jv())
+            .map_err(|e| AireError::Protocol(format!("cannot frame request: {e}")))
     }
 
     /// One request/response exchange with pooling: reuse a healthy
@@ -1122,7 +1051,6 @@ pub fn shutdown_node(admin_addr: SocketAddr, timeout: Duration) -> AireResult<()
         Ok(Some(Frame {
             kind: h.kind,
             request_id: h.request_id,
-            shard_hint: h.shard_hint,
             trace: h.trace,
             payload: Jv::decode(&text)
                 .map_err(|e| AireError::Protocol(format!("bad shutdown payload: {e}")))?,
@@ -1137,14 +1065,8 @@ pub fn shutdown_node(admin_addr: SocketAddr, timeout: Duration) -> AireResult<()
             hello.kind
         )));
     }
-    let bye = frame::encode_frame(
-        FrameKind::Shutdown,
-        0,
-        frame::NO_SHARD_HINT,
-        frame::NO_TRACE,
-        &Jv::Null,
-    )
-    .expect("a null shutdown payload is far below the frame cap");
+    let bye = frame::encode_frame(FrameKind::Shutdown, 0, frame::NO_TRACE, &Jv::Null)
+        .expect("a null shutdown payload is far below the frame cap");
     stream
         .write_all(&bye)
         .map_err(|e| AireError::Protocol(format!("shutdown write failed: {e}")))?;

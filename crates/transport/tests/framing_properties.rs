@@ -80,34 +80,27 @@ fn arb_response() -> BoxedStrategy<HttpResponse> {
 
 proptest! {
     // `NetStats.bytes` is counted with `framed_*_len`; the wire carries
-    // frames with a real id, hint and trace set. One header size means
+    // frames with a real id and trace set. One header size means
     // the two cannot disagree.
     #[test]
     fn every_request_shape_survives_framing(
         req in arb_request(),
         id in any::<u64>(),
-        hint in any::<u16>(),
         trace in (any::<u64>(), any::<u64>()),
     ) {
-        let bytes = frame::encode_frame(FrameKind::Request, id, hint, trace, &req.to_jv()).unwrap();
+        let bytes = frame::encode_frame(FrameKind::Request, id, trace, &req.to_jv()).unwrap();
         prop_assert_eq!(bytes.len(), frame::framed_request_len(&req));
         prop_assert_eq!(frame::encode_request(&req).unwrap().len(), bytes.len());
         let (fr, used) = frame::decode_frame(&bytes).unwrap();
         prop_assert_eq!(used, bytes.len());
-        prop_assert_eq!((fr.request_id, fr.shard_hint, fr.trace), (id, hint, trace));
+        prop_assert_eq!((fr.request_id, fr.trace), (id, trace));
         prop_assert_eq!(frame::decode_request(&fr).unwrap(), req);
     }
 
     #[test]
     fn every_response_shape_survives_framing(resp in arb_response(), id in any::<u64>()) {
-        let bytes = frame::encode_frame(
-            FrameKind::Response,
-            id,
-            frame::NO_SHARD_HINT,
-            frame::NO_TRACE,
-            &resp.to_jv(),
-        )
-        .unwrap();
+        let bytes =
+            frame::encode_frame(FrameKind::Response, id, frame::NO_TRACE, &resp.to_jv()).unwrap();
         prop_assert_eq!(bytes.len(), frame::framed_response_len(&resp));
         prop_assert_eq!(frame::encode_response(&resp).unwrap().len(), bytes.len());
         let (fr, used) = frame::decode_frame(&bytes).unwrap();
@@ -216,15 +209,14 @@ proptest! {
 
 #[test]
 fn header_len_is_the_documented_layout() {
-    let bytes = frame::encode_frame(FrameKind::Hello, 0x0102, 3, (4, 5), &Jv::Null).unwrap();
+    let bytes = frame::encode_frame(FrameKind::Hello, 0x0102, (4, 5), &Jv::Null).unwrap();
     assert_eq!(&bytes[..4], b"AIRE");
     assert_eq!(bytes[4], frame::VERSION);
     assert_eq!(bytes[5], FrameKind::Hello.as_u8());
     assert_eq!(bytes[6..14], 0x0102u64.to_be_bytes());
-    assert_eq!(bytes[14..16], 3u16.to_be_bytes());
-    assert_eq!(bytes[16..24], 4u64.to_be_bytes());
-    assert_eq!(bytes[24..32], 5u64.to_be_bytes());
-    assert_eq!(bytes[32..36], 4u32.to_be_bytes());
+    assert_eq!(bytes[14..22], 4u64.to_be_bytes());
+    assert_eq!(bytes[22..30], 5u64.to_be_bytes());
+    assert_eq!(bytes[30..34], 4u32.to_be_bytes());
     assert_eq!(bytes.len(), HEADER_LEN + "null".len());
 }
 

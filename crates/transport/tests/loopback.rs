@@ -512,7 +512,7 @@ fn garbage_on_a_parked_connection_is_never_reused() {
         // unavailable), not left hanging in a dead backlog.
         drop(trap);
         let encode = |kind, tag, payload: &aire_types::Jv| {
-            frame::encode_frame(kind, tag, frame::NO_SHARD_HINT, frame::NO_TRACE, payload).unwrap()
+            frame::encode_frame(kind, tag, frame::NO_TRACE, payload).unwrap()
         };
         let hello = encode(
             frame::FrameKind::Hello,

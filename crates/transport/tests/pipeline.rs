@@ -264,7 +264,7 @@ fn trap_greet(stream: &mut TcpStream, host: &str) {
 
 /// A frame the way a server sends it: tagged, no hint, no trace.
 fn trap_frame(kind: frame::FrameKind, tag: u64, payload: &aire_types::Jv) -> Vec<u8> {
-    frame::encode_frame(kind, tag, frame::NO_SHARD_HINT, frame::NO_TRACE, payload).unwrap()
+    frame::encode_frame(kind, tag, frame::NO_TRACE, payload).unwrap()
 }
 
 /// The retry-window invariant, deterministically: of `PIPELINE_DEPTH + 1`

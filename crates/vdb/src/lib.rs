@@ -42,7 +42,6 @@ pub mod access;
 pub mod filter;
 pub mod index;
 pub mod schema;
-pub mod shard;
 pub mod store;
 pub mod version;
 

@@ -170,23 +170,6 @@ pub trait App {
     fn compensate(&self, _change: &Compensation) -> Option<Jv> {
         None
     }
-
-    /// True if this service may be split across the shard workers of a
-    /// sharded (`--workers N`) daemon. The default is `false`: all of
-    /// the service's traffic pins to shard 0, which preserves the exact
-    /// unsharded execution (request ids, RNG draws, queue order) at any
-    /// worker count. A sharded service must keep each request's effects
-    /// confined to rows reachable from its [`App::shard_key`].
-    fn sharded(&self) -> bool {
-        false
-    }
-
-    /// Shard affinity key for a request to a [sharded](App::sharded)
-    /// service, e.g. the key name of a kv store. Requests returning
-    /// `None` (and all requests of unsharded services) route to shard 0.
-    fn shard_key(&self, _req: &HttpRequest) -> Option<String> {
-        None
-    }
 }
 
 #[cfg(test)]

@@ -107,7 +107,7 @@ pub fn setup(cfg: &AskbotWorkload) -> AskbotScenario {
 
 /// [`setup`] with every controller at `config` — the hook for running
 /// the scenario under non-default knobs (causal tracing, selective
-/// repair scope, a shard slice).
+/// repair scope, a store budget).
 pub fn setup_with(cfg: &AskbotWorkload, config: aire_core::ControllerConfig) -> AskbotScenario {
     let mut world = World::new();
     world.add_service_with(Rc::new(OAuthProvider), config.clone());

@@ -60,7 +60,6 @@ fn main() {
         120,
         None,
         None,
-        None,
         false,
     )
     .unwrap_or_else(|e| panic!("{e}"));

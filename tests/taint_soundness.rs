@@ -23,6 +23,14 @@
 //! digest comparison is exact. (vkv would not do here: its version
 //! table is app-versioned, so even full-scope replay intentionally
 //! branches fresh version rows — see `benches/taint_scaling.rs`.)
+//!
+//! An objstore `put` both scans its key and writes the row, so on those
+//! workloads each half of the taint query (later touchers of a row,
+//! later scans matching its values) reaches everything the other half
+//! does. A second fixture, a tag board, splits them: its scanning
+//! request and its writing request are different requests, so the
+//! closure must name a scan that never saw the attacked row *and* a
+//! blind writer that never scanned.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -33,8 +41,10 @@ use aire::core::admin::{AdminOp, AdminResponse};
 use aire::core::protocol::{RepairMessage, RepairOp};
 use aire::core::{ControllerConfig, RepairScope, World};
 use aire::http::aire::response_request_id;
-use aire::http::{Headers, HttpRequest, Url};
+use aire::http::{Headers, HttpRequest, HttpResponse, Url};
 use aire::types::{jv, DetRng, RequestId};
+use aire::vdb::{FieldDef, FieldKind, Filter, Schema};
+use aire::web::{App, AuthorizeCtx, Ctx, Router, WebError};
 
 //////// Workload generation. ////////
 
@@ -138,9 +148,14 @@ fn run_world(
     (world, rids)
 }
 
+/// The one service a world of this suite hosts.
+fn service(world: &World) -> String {
+    world.service_names()[0].clone()
+}
+
 fn admin(world: &World, op: AdminOp) -> AdminResponse {
     world
-        .invoke_admin("objstore", op)
+        .invoke_admin(&service(world), op)
         .unwrap_or_else(|e| panic!("admin op failed: {e}"))
 }
 
@@ -158,6 +173,13 @@ fn repaired_requests(world: &World) -> u64 {
     }
 }
 
+fn closure(world: &World, request_id: RequestId) -> Vec<RequestId> {
+    match admin(world, AdminOp::TaintClosure { request_id }) {
+        AdminResponse::TaintClosure { tainted, .. } => tainted,
+        other => panic!("taint_closure response: {other:?}"),
+    }
+}
+
 /// Deletes `rid` with operator credentials; returns re-executed count.
 fn repair(world: &World, rid: RequestId) -> u64 {
     let before = repaired_requests(world);
@@ -165,7 +187,7 @@ fn repair(world: &World, rid: RequestId) -> u64 {
     creds.set(ADMIN_HEADER, ADMIN_SECRET);
     let resp = world
         .invoke_repair(
-            "objstore",
+            &service(world),
             RepairMessage::with_credentials(RepairOp::Delete { request_id: rid }, creds),
         )
         .expect("repair delivers");
@@ -218,7 +240,6 @@ fn check_seed(seed: u64) {
         read_edges,
         write_edges,
         scope,
-        shards,
     } = admin(&sel_world, AdminOp::TaintStats)
     else {
         panic!("taint_stats response");
@@ -229,14 +250,6 @@ fn check_seed(seed: u64) {
         "seed {seed}"
     );
     assert!(rows > 0 && read_edges > 0 && write_edges > 0, "seed {seed}");
-    // The per-shard breakdown of an unsharded controller is itself,
-    // and accounts for the totals exactly.
-    assert_eq!(shards.len(), 1, "seed {seed}");
-    assert_eq!(
-        (shards[0].shard, shards[0].actions, shards[0].rows),
-        (0, actions, rows),
-        "seed {seed}"
-    );
 
     // Agreement: both scopes repair to the gold world's digest, and
     // selective visits no more than its closure.
@@ -274,5 +287,248 @@ fn check_seed(seed: u64) {
 fn selective_repair_agrees_with_full_and_gold_across_random_workloads() {
     for seed in 0..24u64 {
         check_seed(seed);
+    }
+}
+
+//////// The tag board: scanning and writing in different requests. ////////
+
+const TAGS: [&str; 3] = ["red", "green", "blue"];
+
+/// `items` rows carry a tag; `counts` holds one tally row per tag (row
+/// `i + 1` for `TAGS[i]`). `/tag/<id>` overwrites an item's tag without
+/// reading anything, `/item/<id>` reads one item by id, and `/count`
+/// scans the items with a tag and writes the tally — the only scan, in
+/// a request that writes no item.
+struct Board;
+
+fn h_new_item(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
+    let tag = ctx.body_str("tag")?.to_string();
+    let id = ctx.insert("items", jv!({"tag": tag}))?;
+    Ok(HttpResponse::ok(jv!({"id": id as i64})))
+}
+
+fn h_new_count(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
+    let tag = ctx.body_str("tag")?.to_string();
+    ctx.insert("counts", jv!({"tag": tag, "n": 0}))?;
+    Ok(HttpResponse::ok(jv!({"ok": true})))
+}
+
+fn h_tag(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
+    let id = ctx.param_u64("id")?;
+    let tag = ctx.body_str("tag")?.to_string();
+    ctx.update("items", id, jv!({"tag": tag}))?;
+    Ok(HttpResponse::ok(jv!({"ok": true})))
+}
+
+fn h_item(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
+    let id = ctx.param_u64("id")?;
+    let item = ctx.get_or_404("items", id)?;
+    Ok(HttpResponse::ok(item))
+}
+
+fn h_count(ctx: &mut Ctx<'_>) -> Result<HttpResponse, WebError> {
+    let tag = ctx.body_str("tag")?.to_string();
+    let slot = TAGS.iter().position(|t| *t == tag).expect("known tag") as u64 + 1;
+    let n = ctx
+        .scan("items", &Filter::all().eq("tag", tag.as_str()))?
+        .len();
+    ctx.update("counts", slot, jv!({"tag": tag, "n": n as i64}))?;
+    Ok(HttpResponse::ok(jv!({"n": n as i64})))
+}
+
+impl App for Board {
+    fn name(&self) -> &str {
+        "board"
+    }
+
+    fn schemas(&self) -> Vec<Schema> {
+        vec![
+            Schema::new("items", vec![FieldDef::new("tag", FieldKind::Str)]),
+            Schema::new(
+                "counts",
+                vec![
+                    FieldDef::new("tag", FieldKind::Str),
+                    FieldDef::new("n", FieldKind::Int),
+                ],
+            ),
+        ]
+    }
+
+    fn router(&self) -> Router {
+        Router::new()
+            .post("/new_item", h_new_item)
+            .post("/new_count", h_new_count)
+            .post("/tag/<id>", h_tag)
+            .get("/item/<id>", h_item)
+            .post("/count", h_count)
+    }
+
+    fn authorize_repair(&self, az: &AuthorizeCtx<'_>) -> bool {
+        aire::apps::policy::same_principal(az)
+    }
+}
+
+#[derive(Debug, Clone)]
+enum BoardOp {
+    Tag { id: u64, tag: &'static str },
+    Read { id: u64 },
+    Count { tag: &'static str },
+}
+
+impl BoardOp {
+    fn request(&self) -> HttpRequest {
+        match self {
+            BoardOp::Tag { id, tag } => HttpRequest::post(
+                Url::service("board", format!("/tag/{id}")),
+                jv!({"tag": *tag}),
+            ),
+            BoardOp::Read { id } => HttpRequest::get(Url::service("board", format!("/item/{id}"))),
+            BoardOp::Count { tag } => {
+                HttpRequest::post(Url::service("board", "/count"), jv!({"tag": *tag}))
+            }
+        }
+    }
+}
+
+/// A reproducible board workload: every item and tally row created
+/// first, then a random mix of blind tags, reads by id and counts, with
+/// one intrusion point: a tag that changes item `id` from `old` to a
+/// different tag. Right after it, a count of `old` (which never sees
+/// the item: only the scan half of the query reaches it), then a
+/// re-tag of the item (a blind write: only the toucher half reaches
+/// it). Returns the ops, the intrusion's index and the item count.
+fn gen_board(seed: u64) -> (Vec<BoardOp>, usize, u64) {
+    let mut rng = DetRng::new(seed);
+    let pick = |rng: &mut DetRng| TAGS[rng.below(TAGS.len() as u64) as usize];
+    let items = 3 + rng.below(4);
+    let mut tags: Vec<&'static str> = (0..items).map(|_| pick(&mut rng)).collect();
+    let mut ops: Vec<BoardOp> = tags
+        .iter()
+        .enumerate()
+        .map(|(i, tag)| BoardOp::Tag {
+            id: i as u64 + 1,
+            tag,
+        })
+        .collect();
+    let steps = 30 + rng.below(30);
+    let attack_step = 5 + rng.below(steps - 10);
+    let mut attack = 0;
+    for step in 0..steps {
+        let id = rng.below(items) + 1;
+        if step == attack_step {
+            let old = tags[id as usize - 1];
+            let new = TAGS.iter().copied().find(|t| *t != old).unwrap();
+            attack = ops.len();
+            ops.push(BoardOp::Tag { id, tag: new });
+            ops.push(BoardOp::Count { tag: old });
+            ops.push(BoardOp::Tag {
+                id,
+                tag: pick(&mut rng),
+            });
+        } else {
+            ops.push(match rng.below(10) {
+                0..=3 => BoardOp::Tag {
+                    id,
+                    tag: pick(&mut rng),
+                },
+                4..=6 => BoardOp::Read { id },
+                _ => BoardOp::Count {
+                    tag: pick(&mut rng),
+                },
+            });
+        }
+        if let Some(BoardOp::Tag { id, tag }) = ops.last() {
+            tags[*id as usize - 1] = tag;
+        }
+    }
+    (ops, attack, items)
+}
+
+/// Creates the board's rows (items with a placeholder tag, one tally
+/// per tag), then runs `ops`, skipping index `skip` if given. Returns
+/// the world and each op's request id.
+fn run_board(
+    scope: RepairScope,
+    ops: &[BoardOp],
+    items: u64,
+    skip: Option<usize>,
+) -> (World, Vec<Option<RequestId>>) {
+    let mut world = World::new();
+    world.add_service_with(
+        Rc::new(Board),
+        ControllerConfig {
+            repair_scope: scope,
+            ..ControllerConfig::default()
+        },
+    );
+    let create = (0..items)
+        .map(|_| HttpRequest::post(Url::service("board", "/new_item"), jv!({"tag": "none"})))
+        .chain(
+            TAGS.iter()
+                .map(|t| HttpRequest::post(Url::service("board", "/new_count"), jv!({"tag": *t}))),
+        );
+    for req in create {
+        let resp = world.deliver(&req).expect("setup delivers");
+        assert!(resp.status.is_success(), "setup failed: {:?}", resp.body);
+    }
+    let mut rids = Vec::with_capacity(ops.len());
+    for (i, op) in ops.iter().enumerate() {
+        if Some(i) == skip {
+            rids.push(None);
+            continue;
+        }
+        let resp = world.deliver(&op.request()).expect("workload delivers");
+        assert!(resp.status.is_success(), "op {i} failed: {:?}", resp.body);
+        rids.push(response_request_id(&resp));
+    }
+    (world, rids)
+}
+
+fn check_board_seed(seed: u64) {
+    let (ops, attack, items) = gen_board(seed);
+    let (full_world, rids) = run_board(RepairScope::Full, &ops, items, None);
+    let (sel_world, _) = run_board(RepairScope::Selective, &ops, items, None);
+    let (gold_world, _) = run_board(RepairScope::Reactive, &ops, items, Some(attack));
+    let rid = |i: usize| rids[i].clone().expect("op was executed");
+
+    // The count that missed the attacked item and the blind re-tag of
+    // it are each reachable through one half of the query only.
+    let tainted = closure(&sel_world, rid(attack));
+    for (i, half) in [(attack + 1, "scan"), (attack + 2, "toucher")] {
+        assert!(
+            tainted.contains(&rid(i)),
+            "seed {seed}: closure at op {attack} misses op {i} ({op:?}), which only \
+             the {half} half of the taint query reaches; closure {tainted:?}",
+            op = ops[i],
+        );
+    }
+
+    // The pass may re-execute a little more than the closure: rolling
+    // the item back probes every later version it removes, so counts of
+    // a tag the item only took later are re-run too. Never more than
+    // full replay.
+    let full_reexec = repair(&full_world, rid(attack));
+    let sel_reexec = repair(&sel_world, rid(attack));
+    assert!(
+        sel_reexec <= full_reexec,
+        "seed {seed}: selective re-executed {sel_reexec}, full {full_reexec}"
+    );
+    let gold = digest(&gold_world);
+    assert_eq!(
+        digest(&full_world),
+        gold,
+        "seed {seed}: full repair vs gold"
+    );
+    assert_eq!(
+        digest(&sel_world),
+        gold,
+        "seed {seed}: selective repair vs gold"
+    );
+}
+
+#[test]
+fn closure_reaches_blind_writers_and_scans_that_missed_the_row() {
+    for seed in 0..24u64 {
+        check_board_seed(seed);
     }
 }

@@ -55,18 +55,6 @@ fn node(
     peers: &[(String, SocketAddr, SocketAddr)],
     cert_serial: Option<u64>,
 ) -> SpawnedNode {
-    node_with_workers(services, data, admin, peers, cert_serial, None)
-}
-
-/// [`node`], optionally pinning `--workers` over `AIRE_NODED_EXTRA_ARGS`.
-fn node_with_workers(
-    services: &[&str],
-    data: SocketAddr,
-    admin: SocketAddr,
-    peers: &[(String, SocketAddr, SocketAddr)],
-    cert_serial: Option<u64>,
-    workers: Option<usize>,
-) -> SpawnedNode {
     let exe = locate_example("aire_noded").expect("cargo test builds the aire_noded example");
     spawn_node(
         &exe,
@@ -76,7 +64,6 @@ fn node_with_workers(
         peers,
         180,
         cert_serial,
-        workers,
         None,
         false,
     )
@@ -86,10 +73,6 @@ fn node_with_workers(
 /// Spawns the full three-service cluster, every node peered with the
 /// other two.
 fn spawn_cluster() -> Vec<SpawnedNode> {
-    spawn_cluster_with_workers(None)
-}
-
-fn spawn_cluster_with_workers(workers: Option<usize>) -> Vec<SpawnedNode> {
     let addrs: Vec<(&str, (SocketAddr, SocketAddr))> = askbot_attack::SERVICES
         .iter()
         .map(|s| (*s, free_addrs()))
@@ -102,7 +85,7 @@ fn spawn_cluster_with_workers(workers: Option<usize>) -> Vec<SpawnedNode> {
                 .filter(|(p, _)| p != name)
                 .map(|(p, (d, a))| (p.to_string(), *d, *a))
                 .collect();
-            node_with_workers(&[name], *data, *admin, &peers, None, workers)
+            node(&[name], *data, *admin, &peers, None)
         })
         .collect()
 }
@@ -586,8 +569,7 @@ fn figure4_recovery_stays_digest_identical_under_injected_faults() {
 /// incident), a reader thread keeps fetching question pages from it. The
 /// daemon's pass yields to its serve loop between quanta, so reads are
 /// served *during* the pass — none refused — and the recovered state is
-/// the in-process run's, digest for digest. Pinned to `--workers 1`:
-/// shard workers install no yielder, so their passes stay atomic.
+/// the in-process run's, digest for digest.
 #[test]
 fn askbot_serves_readers_between_repair_quanta() {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -608,7 +590,7 @@ fn askbot_serves_readers_between_repair_quanta() {
         .stats()
         .repaired_requests;
 
-    let mut nodes = spawn_cluster_with_workers(Some(1));
+    let mut nodes = spawn_cluster();
     let (world, _) = remote_world(&nodes);
     let facts = askbot_attack::populate(&world, &workload);
     world.set_repair_mode_all(RepairMode::Deferred);
